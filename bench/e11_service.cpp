@@ -9,8 +9,8 @@
 //      vs RLC-batched flushes through the async queue (driven through the
 //      unified type-erased MultiTenantVerificationService with one tenant
 //      key — the same serving core the daemon runs).
-//   3. The pool-parallel primitives (Pippenger windows, Miller-loop chunks)
-//      against their serial counterparts.
+//   3. A 2048-point serial MSM, and the pool-parallel Miller-loop chunks
+//      against their serial counterpart.
 //
 // Emits BENCH_e11.json; bench/records/BENCH_e11.pr*.json tracks the
 // trajectory, and CI guards the combine and batching speedups.
@@ -166,23 +166,20 @@ int main() {
          (unsigned long long)st.deadline_flushes,
          individual_ns / service_ns);
 
-  // ---- 3. Pool-parallel primitives vs serial. ----------------------------
+  // ---- 3. Serial MSM; pool-parallel pairing vs serial. -------------------
   bench::header("parallel primitives");
   {
     Rng prng("e11-msm");
     constexpr size_t kN = 2048;
-    std::vector<G1> points;
+    std::vector<G1Affine> points;
     std::vector<Fr> scalars;
     for (size_t i = 0; i < kN; ++i) {
-      points.push_back(G1::generator().mul(Fr::random(prng)));
+      points.push_back(G1::generator().mul(Fr::random(prng)).to_affine());
       scalars.push_back(Fr::random(prng));
     }
     out.bench("msm/serial_2048",
               [&] { sink = msm<G1>(points, scalars).is_identity(); }, 3,
               300.0);
-    out.bench("msm/parallel_2048", [&] {
-      sink = service::msm_parallel<G1>(pool, points, scalars).is_identity();
-    }, 3, 300.0);
 
     std::vector<PairingTerm> plain;
     for (int i = 0; i < 16; ++i)

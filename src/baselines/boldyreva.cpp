@@ -93,8 +93,8 @@ G1Affine BoldyrevaBls::combine_unchecked(
   std::vector<uint32_t> indices;
   for (const auto& p : valid) indices.push_back(p.index);
   auto lagrange = lagrange_at_zero(indices);
-  std::vector<G1> sigmas;
-  for (const auto& p : valid) sigmas.push_back(G1::from_affine(p.sigma));
+  std::vector<G1Affine> sigmas;
+  for (const auto& p : valid) sigmas.push_back(p.sigma);
   return msm<G1>(sigmas, lagrange).to_affine();
 }
 
@@ -140,13 +140,10 @@ bool BlsVerifier::batch_verify(std::span<const Bytes> msgs,
   for (size_t j = 1; j < n; ++j)
     coeff[j] = threshold::random_rlc_coefficient(rng);
 
-  std::vector<G1> ss, hs;
-  for (size_t j = 0; j < n; ++j) {
-    ss.push_back(G1::from_affine(sigs[j]));
-    hs.push_back(G1::from_affine(-scheme_.hash_message(msgs[j])));
-  }
+  std::vector<G1Affine> hs;
+  for (size_t j = 0; j < n; ++j) hs.push_back(-scheme_.hash_message(msgs[j]));
   std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{msm<G1>(ss, coeff).to_affine(), &gen_},
+      PreparedTerm{msm<G1>(sigs, coeff).to_affine(), &gen_},
       PreparedTerm{msm<G1>(hs, coeff).to_affine(), &pk_},
   };
   return pairing_product_is_one(terms);

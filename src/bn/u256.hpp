@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -29,6 +30,23 @@ struct U256 {
 
   constexpr bool bit(size_t i) const {
     return (w[i / 64] >> (i % 64)) & 1;
+  }
+
+  /// The `count` (< 64) bits starting at bit `pos` (< 256), crossing limb
+  /// boundaries; bits above 255 read as zero.
+  constexpr uint64_t bits(size_t pos, size_t count) const {
+    const size_t limb = pos / 64, off = pos % 64;
+    uint64_t d = w[limb] >> off;
+    if (off + count > 64 && limb + 1 < 4) d |= w[limb + 1] << (64 - off);
+    return d & ((uint64_t(1) << count) - 1);
+  }
+
+  /// Number of trailing zero bits (256 for zero).
+  constexpr unsigned countr_zero() const {
+    for (unsigned i = 0; i < 4; ++i)
+      if (w[i] != 0)
+        return 64 * i + static_cast<unsigned>(std::countr_zero(w[i]));
+    return 256;
   }
 
   /// Number of significant bits (0 for zero).
@@ -91,6 +109,18 @@ struct U256 {
   }
 
   constexpr U256 shr2() const { return shr1().shr1(); }
+
+  /// this >> s for s < 256.
+  constexpr U256 shr(unsigned s) const {
+    const unsigned limbs = s / 64, off = s % 64;
+    U256 r;
+    for (unsigned i = 0; i + limbs < 4; ++i) {
+      r.w[i] = w[i + limbs] >> off;
+      if (off != 0 && i + limbs + 1 < 4)
+        r.w[i] |= w[i + limbs + 1] << (64 - off);
+    }
+    return r;
+  }
 
   /// this * m + a, where the result must fit 256 bits (throws otherwise).
   U256 small_mul_add(uint64_t m, uint64_t a) const {

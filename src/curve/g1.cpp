@@ -22,7 +22,12 @@ void g1_serialize(const G1Affine& p, ByteWriter& w) {
 G1Affine g1_deserialize(ByteReader& r) {
   uint8_t tag = r.u8();
   auto xbytes = r.raw(32);
-  if (tag == 0) return G1Affine::identity();
+  if (tag == 0) {
+    // The identity has exactly one encoding: tag 0 and 32 zero bytes.
+    for (uint8_t b : xbytes)
+      if (b != 0) throw std::invalid_argument("g1_deserialize: bad identity");
+    return G1Affine::identity();
+  }
   if (tag != 2 && tag != 3)
     throw std::invalid_argument("g1_deserialize: bad tag");
   Fp x = Fp::from_bytes_be(xbytes);

@@ -16,7 +16,8 @@ struct G1Curve {
 using G1Affine = AffinePoint<G1Curve>;
 using G1 = JacobianPoint<G1Curve>;
 
-/// Compressed: 1 tag byte (0 = infinity, 2|3 = y parity) + 32-byte x.
+/// Compressed: 1 tag byte (0 = infinity, 2|3 = y parity) + 32-byte x; the
+/// infinity's x bytes must be zero.
 constexpr size_t kG1CompressedSize = 33;
 
 void g1_serialize(const G1Affine& p, ByteWriter& w);

@@ -62,7 +62,14 @@ G2Affine g2_deserialize(ByteReader& r) {
   uint8_t tag = r.u8();
   auto c0 = r.raw(32);
   auto c1 = r.raw(32);
-  if (tag == 0) return G2Affine::identity();
+  if (tag == 0) {
+    // The identity has exactly one encoding: tag 0 and 64 zero bytes.
+    for (auto half : {c0, c1})
+      for (uint8_t b : half)
+        if (b != 0)
+          throw std::invalid_argument("g2_deserialize: bad identity");
+    return G2Affine::identity();
+  }
   if (tag != 2 && tag != 3)
     throw std::invalid_argument("g2_deserialize: bad tag");
   Fp2 x{Fp::from_bytes_be(c0), Fp::from_bytes_be(c1)};

@@ -17,7 +17,8 @@ struct G2Curve {
 using G2Affine = AffinePoint<G2Curve>;
 using G2 = JacobianPoint<G2Curve>;
 
-/// Compressed: 1 tag byte + 64-byte x (c0 || c1).
+/// Compressed: 1 tag byte + 64-byte x (c0 || c1); the infinity's (tag 0) x
+/// bytes must be zero.
 constexpr size_t kG2CompressedSize = 65;
 
 void g2_serialize(const G2Affine& p, ByteWriter& w);

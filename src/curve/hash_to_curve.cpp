@@ -28,12 +28,13 @@ G1Affine hash_to_g1(std::string_view dst, std::span<const uint8_t> msg) {
     auto digest = labeled_hash(dst, msg, counter, 0);
     Fp x = Fp::from_hash_bytes(digest);
     Fp rhs = x.squared() * x + G1Curve::coeff_b();
-    auto y = rhs.sqrt();
-    if (!y) continue;
+    // About half the candidates are non-squares: the Jacobi symbol rejects
+    // them without paying for a sqrt.
+    if (!rhs.is_square()) continue;
     // Pick the sign from an independent hash bit so the output is uniform
     // over both roots.
     auto sign_digest = labeled_hash(dst, msg, counter, 1);
-    Fp yy = *y;
+    Fp yy = *rhs.sqrt();
     if ((sign_digest[0] & 1) != (yy.is_odd() ? 1 : 0)) yy = -yy;
     return G1Affine::from_xy(x, yy);
   }

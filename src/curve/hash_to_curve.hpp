@@ -13,7 +13,9 @@
 
 namespace bnr {
 
-/// Hashes (dst, msg) to a G1 point.
+/// Hashes (dst, msg) to a G1 point: the first counter whose x^3 + b is a
+/// square (Jacobi symbol first, then one sqrt). Variable time; the message
+/// is public.
 G1Affine hash_to_g1(std::string_view dst, std::span<const uint8_t> msg);
 G1Affine hash_to_g1(std::string_view dst, std::string_view msg);
 

@@ -153,8 +153,29 @@ class JacobianPoint {
     return r;
   }
 
+  /// Mixed addition, madd-2007-bl (7M+4S against add-2007-bl's 11M+5S):
+  /// the affine operand's Z = 1 drops its Z products.
   JacobianPoint operator+(const Affine& o) const {
-    return *this + from_affine(o);
+    if (o.infinity) return *this;
+    if (is_identity()) return from_affine(o);
+    Field z1z1 = z_.squared();
+    Field u2 = o.x * z1z1;
+    Field s2 = o.y * z_ * z1z1;
+    Field h = u2 - x_;
+    Field rr = (s2 - y_).doubled();
+    if (h.is_zero()) {
+      if (rr.is_zero()) return dbl();
+      return identity();
+    }
+    Field hh = h.squared();
+    Field i = hh.doubled().doubled();
+    Field j = h * i;
+    Field v = x_ * i;
+    JacobianPoint r;
+    r.x_ = rr.squared() - j - v - v;
+    r.y_ = rr * (v - r.x_) - (y_ * j).doubled();
+    r.z_ = (z_ + h).squared() - z1z1 - hh;
+    return r;
   }
   JacobianPoint operator-() const {
     JacobianPoint p = *this;
@@ -274,8 +295,8 @@ class JacobianPoint {
   Field z_{};  // zero => identity
 };
 
-/// Naive multi-scalar multiplication: sum_i points[i] * scalars[i].
-/// Reference path; `msm` switches to Pippenger when the batch amortizes it.
+/// Naive multi-scalar multiplication: sum_i points[i] * scalars[i], one wNAF
+/// ladder per point. The test oracle for `msm`.
 template <class Point>
 Point msm_naive(std::span<const Point> points, std::span<const Fr> scalars) {
   if (points.size() != scalars.size())
@@ -288,66 +309,40 @@ Point msm_naive(std::span<const Point> points, std::span<const Fr> scalars) {
 
 namespace detail {
 
-/// c-bit digit of k starting at bit `pos` (crossing limb boundaries).
-inline uint64_t msm_digit(const U256& k, size_t pos, size_t c) {
-  size_t limb = pos / 64, off = pos % 64;
-  uint64_t d = k.w[limb] >> off;
-  if (off + c > 64 && limb + 1 < 4) d |= k.w[limb + 1] << (64 - off);
-  return d & ((uint64_t(1) << c) - 1);
-}
-
-inline size_t msm_window_bits(size_t n) {
-  if (n < 32) return 3;
-  if (n < 128) return 4;
-  if (n < 512) return 6;
-  if (n < 4096) return 8;
-  return 11;
-}
-
-/// Bucket accumulation of ONE c-bit Pippenger window (no doublings): drops
-/// each point into the bucket of its digit at bit position w*c, then folds
-/// the buckets with the running-sum trick. Windows touch disjoint state, so
-/// the serving layer fans them out across a thread pool and only the final
-/// doubling combine stays sequential. `buckets` is caller-provided scratch
-/// (resized/reset here) so a serial multi-window loop pays one allocation.
-template <class Point>
-Point msm_window_sum(std::span<const Point> points, std::span<const U256> ks,
-                     size_t w, size_t c, std::vector<Point>& buckets) {
-  buckets.assign((size_t(1) << c) - 1, Point::identity());
-  for (size_t i = 0; i < points.size(); ++i) {
-    uint64_t d = msm_digit(ks[i], w * c, c);
-    if (d != 0) buckets[d - 1] = buckets[d - 1] + points[i];
-  }
-  // sum_d d * bucket[d] via the running-sum trick.
-  Point running, sum;
-  for (size_t b = buckets.size(); b-- > 0;) {
-    running = running + buckets[b];
-    sum = sum + running;
-  }
-  return sum;
-}
-
-template <class Point>
-Point msm_window_sum(std::span<const Point> points, std::span<const U256> ks,
-                     size_t w, size_t c) {
-  std::vector<Point> buckets;
-  return msm_window_sum(points, ks, w, c, buckets);
+/// Signed (Booth) digit of window w of k, in [-2^(c-1), 2^(c-1)]: the
+/// window's c bits, plus the bit just below it, minus 2^c when the window's
+/// top bit is set (that bit is instead carried into the window above as
+/// its "bit below"). The digits of windows 0..bits/c sum back to k.
+inline int64_t booth_digit(const U256& k, size_t w, size_t c) {
+  const size_t pos = w * c;
+  const uint64_t v = k.bits(pos, c);
+  const uint64_t below = pos == 0 ? 0 : uint64_t(k.bit(pos - 1));
+  return static_cast<int64_t>(v + below) -
+         static_cast<int64_t>((v >> (c - 1)) << c);
 }
 
 }  // namespace detail
 
-/// Multi-scalar multiplication sum_i points[i] * scalars[i] via Pippenger
-/// bucket accumulation: per c-bit window, drop each point into the bucket of
-/// its digit, then fold the buckets with a running sum — O(bits/c * (n + 2^c))
-/// additions instead of O(n * bits) doublings. Windows above the largest
-/// scalar's bit length are skipped, so short (e.g. 128-bit batch-RLC)
-/// coefficients cost proportionally less.
+/// Multi-scalar multiplication sum_i points[i] * scalars[i] over affine
+/// points: Pippenger's bucket method with signed (Booth) window digits. A
+/// point whose digit is d lands in bucket |d| as P or -P (negation is free),
+/// so a c-bit window needs 2^(c-1) buckets, half an unsigned window's; the
+/// buckets fill with mixed additions and fold with a running sum, for
+/// O(bits/c * (n + 2^c)) additions instead of O(n * bits) doublings. Windows
+/// above the largest scalar are skipped, so 128-bit batch-RLC coefficients
+/// cost about half of full-width ones. Variable time: public inputs only.
 template <class Point>
-Point msm(std::span<const Point> points, std::span<const Fr> scalars) {
+Point msm(std::span<const typename Point::Affine> points,
+          std::span<const Fr> scalars) {
   if (points.size() != scalars.size())
     throw std::invalid_argument("msm: size mismatch");
   const size_t n = points.size();
-  if (n < 8) return msm_naive(points, scalars);
+  Point result;
+  if (n < 8) {  // too few points to fill the buckets: one ladder per point
+    for (size_t i = 0; i < n; ++i)
+      result = result + Point::from_affine(points[i]).mul(scalars[i]);
+    return result;
+  }
 
   std::vector<U256> ks(n);
   size_t max_bits = 0;
@@ -355,18 +350,39 @@ Point msm(std::span<const Point> points, std::span<const Fr> scalars) {
     ks[i] = scalars[i].to_u256();
     max_bits = std::max(max_bits, ks[i].bit_length());
   }
-  if (max_bits == 0) return Point::identity();
+  if (max_bits == 0) return result;
 
-  const size_t c = detail::msm_window_bits(n);
-  const size_t windows = (max_bits + c - 1) / c;
-  std::vector<Point> buckets;  // scratch shared across windows
-  Point result;
+  // Half the buckets buy one more bit per window than unsigned digits.
+  const size_t c = n < 32 ? 4 : n < 128 ? 5 : n < 512 ? 7 : n < 4096 ? 9 : 12;
+  // The top window's digit absorbs the carry out of the one below it.
+  const size_t windows = max_bits / c + 1;
+  std::vector<Point> buckets(size_t(1) << (c - 1));
   for (size_t w = windows; w-- > 0;) {
     for (size_t s = 0; s < c; ++s) result = result.dbl();
-    result = result + detail::msm_window_sum(points, std::span<const U256>(ks),
-                                             w, c, buckets);
+    std::fill(buckets.begin(), buckets.end(), Point::identity());
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t d = detail::booth_digit(ks[i], w, c);
+      if (d > 0)
+        buckets[size_t(d - 1)] = buckets[size_t(d - 1)] + points[i];
+      else if (d < 0)
+        buckets[size_t(-d - 1)] = buckets[size_t(-d - 1)] + (-points[i]);
+    }
+    // sum_d d * bucket[d] via the running-sum trick.
+    Point running, sum;
+    for (size_t b = buckets.size(); b-- > 0;) {
+      running = running + buckets[b];
+      sum = sum + running;
+    }
+    result = result + sum;
   }
   return result;
+}
+
+/// `msm` over Jacobian points: one batched inversion normalizes them first.
+template <class Point>
+Point msm(std::span<const Point> points, std::span<const Fr> scalars) {
+  const auto affine = Point::batch_to_affine(points);
+  return msm<Point>(std::span<const typename Point::Affine>(affine), scalars);
 }
 
 /// batch_to_affine as a free function, matching the msm call style.

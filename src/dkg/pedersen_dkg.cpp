@@ -408,18 +408,15 @@ G2 eval_commitments(std::span<const G2Affine> coeffs, uint64_t x) {
   // prod_l coeffs[l]^{x^l} as one multi-scalar multiplication over the
   // power sequence (1, x, x^2, ...); Pippenger keeps the cost at
   // O(bits/c * (levels + 2^c)) group additions for large t.
-  std::vector<G2> points;
   std::vector<Fr> powers;
-  points.reserve(coeffs.size());
   powers.reserve(coeffs.size());
   Fr xf = Fr::from_u64(x);
   Fr pw = Fr::one();
   for (size_t l = 0; l < coeffs.size(); ++l) {
-    points.push_back(G2::from_affine(coeffs[l]));
     powers.push_back(pw);
     pw = pw * xf;
   }
-  return msm<G2>(points, powers);
+  return msm<G2>(coeffs, powers);
 }
 
 RunResult run_dkg(const Config& cfg, SyncNetwork& net,

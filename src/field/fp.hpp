@@ -7,9 +7,12 @@
 // time from the modulus, so only p and r themselves are transcribed.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "bn/u256.hpp"
 
@@ -158,14 +161,58 @@ class Mont {
     return r;
   }
 
+  /// True iff the element is a square (zero included): the binary Jacobi
+  /// symbol of the Montgomery representation, which has the same symbol
+  /// because R = 2^256 is a square. A fraction of the cost of sqrt().
+  /// Variable time: public inputs only.
+  bool is_square() const {
+    U256 a = v_, n = kMod;
+    bool negated = false;
+    while (!a.is_zero()) {
+      // Strip all factors of two at once; (2/n) = -1 iff n = 3, 5 (mod 8).
+      const unsigned twos = a.countr_zero();
+      a = a.shr(twos);
+      const uint64_t n8 = n.w[0] & 7;
+      if ((twos & 1) && (n8 == 3 || n8 == 5)) negated = !negated;
+      // Both odd: reciprocity flips the sign iff both are 3 (mod 4).
+      if (a < n) {
+        std::swap(a, n);
+        if ((a.w[0] & n.w[0] & 3) == 3) negated = !negated;
+      }
+      U256::sub(a, n, a);
+    }
+    return !negated;
+  }
+
   /// Square root for moduli with p = 3 (mod 4); nullopt if non-residue.
+  /// Raises to the constant (p+1)/4 through fixed width-5 windows over the
+  /// odd powers x, x^3, ..., x^31: about 250 squarings and 65 multiplies.
   std::optional<Mont> sqrt() const {
     static_assert((kMod.w[0] & 3) == 3, "sqrt() requires p = 3 (mod 4)");
-    // exponent (p+1)/4
-    U256 e;
-    U256::add(kMod, U256::one(), e);
-    e = e.shr2();
-    Mont s = pow(e);
+    constexpr U256 kExp = [] {
+      U256 e;
+      U256::add(kMod, U256::one(), e);
+      return e.shr2();
+    }();
+    constexpr size_t kW = 5;
+    std::array<Mont, size_t(1) << (kW - 1)> odd;  // odd[i] = x^(2i+1)
+    odd[0] = *this;
+    const Mont x2 = squared();
+    for (size_t i = 1; i < odd.size(); ++i) odd[i] = odd[i - 1] * x2;
+    // A window digit d = m * 2^z with m odd multiplies by x^m z squarings
+    // before the window ends. The top window is nonzero by construction.
+    size_t w = (kExp.bit_length() + kW - 1) / kW - 1;
+    uint64_t d = kExp.bits(w * kW, kW);
+    unsigned z = static_cast<unsigned>(std::countr_zero(d));
+    Mont s = odd[d >> (z + 1)];
+    for (unsigned i = 0; i < z; ++i) s = s.squared();
+    while (w-- > 0) {
+      d = kExp.bits(w * kW, kW);
+      z = d == 0 ? kW : static_cast<unsigned>(std::countr_zero(d));
+      for (unsigned i = 0; i < kW - z; ++i) s = s.squared();
+      if (d != 0) s = s * odd[d >> (z + 1)];
+      for (unsigned i = 0; i < z; ++i) s = s.squared();
+    }
     if (s.squared() == *this) return s;
     return std::nullopt;
   }

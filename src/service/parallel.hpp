@@ -6,47 +6,11 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
-#include "curve/point.hpp"
 #include "pairing/pairing.hpp"
 #include "service/thread_pool.hpp"
 
 namespace bnr::service {
-
-/// Pippenger MSM with the per-window bucket accumulation fanned out across
-/// the pool. Windows touch disjoint buckets, so each is an independent task;
-/// only the final doubling combine (windows * c doublings) is sequential.
-/// Small batches fall back to the serial `msm`.
-template <class Point>
-Point msm_parallel(ThreadPool& pool, std::span<const Point> points,
-                   std::span<const Fr> scalars) {
-  if (points.size() != scalars.size())
-    throw std::invalid_argument("msm_parallel: size mismatch");
-  const size_t n = points.size();
-  if (n < 32 || pool.size() < 2) return msm<Point>(points, scalars);
-
-  std::vector<U256> ks(n);
-  size_t max_bits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ks[i] = scalars[i].to_u256();
-    max_bits = std::max(max_bits, ks[i].bit_length());
-  }
-  if (max_bits == 0) return Point::identity();
-
-  const size_t c = detail::msm_window_bits(n);
-  const size_t windows = (max_bits + c - 1) / c;
-  std::vector<Point> sums(windows);
-  pool.parallel_for(windows, [&](size_t w) {
-    sums[w] = detail::msm_window_sum(points, std::span<const U256>(ks), w, c);
-  });
-  Point result;
-  for (size_t w = windows; w-- > 0;) {
-    for (size_t s = 0; s < c; ++s) result = result.dbl();
-    result = result + sums[w];
-  }
-  return result;
-}
 
 /// Multi-Miller loop fanned out across the pool. The Miller function of a
 /// product is the product of the per-term Miller functions, so the terms are

@@ -272,13 +272,13 @@ bool AggVerifier::batch_verify(std::span<const Bytes> msgs,
   coeff[0] = Fr::one();
   for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
 
-  std::vector<G1> zs, rs, h1s, h2s;
+  std::vector<G1Affine> zs, rs, h1s, h2s;
   for (size_t j = 0; j < n; ++j) {
     auto h = scheme_.hash_message(pk_, msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    h1s.push_back(G1::from_affine(h[0]));
-    h2s.push_back(G1::from_affine(h[1]));
+    zs.push_back(sigs[j].z);
+    rs.push_back(sigs[j].r);
+    h1s.push_back(h[0]);
+    h2s.push_back(h[1]);
   }
   std::array<PreparedTerm, 4> terms = {
       PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},

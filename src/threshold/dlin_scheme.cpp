@@ -221,14 +221,14 @@ std::vector<G1Affine> dlin_fold_points(
     std::span<const DlinPartialSignature> parts, std::span<const Fr> alpha,
     std::span<const Fr> beta) {
   const size_t m = parts.size();
-  std::vector<G1> zs, rs, us;
+  std::vector<G1Affine> zs, rs, us;
   zs.reserve(m);
   rs.reserve(m);
   us.reserve(m);
   for (const auto& p : parts) {
-    zs.push_back(G1::from_affine(p.z));
-    rs.push_back(G1::from_affine(p.r));
-    us.push_back(G1::from_affine(p.u));
+    zs.push_back(p.z);
+    rs.push_back(p.r);
+    us.push_back(p.u);
   }
   std::array<G1, 3> hj;
   for (size_t k = 0; k < 3; ++k) hj[k] = G1::from_affine(h[k]);
@@ -279,11 +279,11 @@ DlinSignature dlin_interpolate(std::span<const DlinPartialSignature> valid) {
   std::vector<uint32_t> indices;
   for (const auto& p : valid) indices.push_back(p.index);
   auto lagrange = lagrange_at_zero(indices);
-  std::vector<G1> zs, rs, us;
+  std::vector<G1Affine> zs, rs, us;
   for (const auto& p : valid) {
-    zs.push_back(G1::from_affine(p.z));
-    rs.push_back(G1::from_affine(p.r));
-    us.push_back(G1::from_affine(p.u));
+    zs.push_back(p.z);
+    rs.push_back(p.r);
+    us.push_back(p.u);
   }
   return {msm<G1>(zs, lagrange).to_affine(), msm<G1>(rs, lagrange).to_affine(),
           msm<G1>(us, lagrange).to_affine()};
@@ -371,14 +371,14 @@ bool DlinVerifier::batch_verify(std::span<const Bytes> msgs,
     e2[j] = random_rlc_coefficient(rng);
   }
 
-  std::vector<G1> zs, rs, us;
-  std::array<std::vector<G1>, 3> hs;
+  std::vector<G1Affine> zs, rs, us;
+  std::array<std::vector<G1Affine>, 3> hs;
   for (size_t j = 0; j < n; ++j) {
     auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    us.push_back(G1::from_affine(sigs[j].u));
-    for (size_t k = 0; k < 3; ++k) hs[k].push_back(G1::from_affine(h[k]));
+    zs.push_back(sigs[j].z);
+    rs.push_back(sigs[j].r);
+    us.push_back(sigs[j].u);
+    for (size_t k = 0; k < 3; ++k) hs[k].push_back(h[k]);
   }
   std::vector<PreparedTerm> terms = {
       {msm<G1>(zs, e1).to_affine(), &gz_},

@@ -200,12 +200,12 @@ Signature RoScheme::combine_unchecked(
   std::vector<uint32_t> indices;
   for (size_t i = 0; i < t + 1; ++i) indices.push_back(parts[i].index);
   auto lagrange = lagrange_at_zero(indices);
-  std::vector<G1> zs, rs;
+  std::vector<G1Affine> zs, rs;
   zs.reserve(t + 1);
   rs.reserve(t + 1);
   for (size_t i = 0; i < t + 1; ++i) {
-    zs.push_back(G1::from_affine(parts[i].z));
-    rs.push_back(G1::from_affine(parts[i].r));
+    zs.push_back(parts[i].z);
+    rs.push_back(parts[i].r);
   }
   return {msm<G1>(zs, lagrange).to_affine(), msm<G1>(rs, lagrange).to_affine()};
 }
@@ -242,12 +242,12 @@ std::vector<G1Affine> ro_fold_points(const std::array<G1Affine, 2>& h,
                                      std::span<const PartialSignature> parts,
                                      std::span<const Fr> coeff) {
   const size_t m = parts.size();
-  std::vector<G1> zs, rs;
+  std::vector<G1Affine> zs, rs;
   zs.reserve(m);
   rs.reserve(m);
   for (const auto& p : parts) {
-    zs.push_back(G1::from_affine(p.z));
-    rs.push_back(G1::from_affine(p.r));
+    zs.push_back(p.z);
+    rs.push_back(p.r);
   }
   G1 h1 = G1::from_affine(h[0]), h2 = G1::from_affine(h[1]);
   std::vector<G1> scaled;
@@ -399,17 +399,17 @@ bool RoVerifier::batch_verify(std::span<const Bytes> msgs,
   coeff[0] = Fr::one();  // the first coefficient may be fixed
   for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
 
-  std::vector<G1> zs, rs, h1s, h2s;
+  std::vector<G1Affine> zs, rs, h1s, h2s;
   zs.reserve(n);
   rs.reserve(n);
   h1s.reserve(n);
   h2s.reserve(n);
   for (size_t j = 0; j < n; ++j) {
     auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    h1s.push_back(G1::from_affine(h[0]));
-    h2s.push_back(G1::from_affine(h[1]));
+    zs.push_back(sigs[j].z);
+    rs.push_back(sigs[j].r);
+    h1s.push_back(h[0]);
+    h2s.push_back(h[1]);
   }
   std::array<PreparedTerm, 4> terms = {
       PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},

@@ -61,6 +61,23 @@ TEST(U256, BitLength) {
   EXPECT_EQ(FpTag::kModulus.bit_length(), 254u);
 }
 
+TEST(U256, ShiftsAndBitFieldsCrossLimbs) {
+  const U256 v{{0x0123456789abcdefull, 0xfedcba9876543210ull,
+                0x0f0f0f0f0f0f0f0full, 0x8000000000000001ull}};
+  // shr(s) agrees with s single-bit shifts, across and at limb boundaries.
+  for (unsigned s : {0u, 1u, 5u, 63u, 64u, 65u, 128u, 191u, 200u, 255u}) {
+    U256 expect = v;
+    for (unsigned i = 0; i < s; ++i) expect = expect.shr1();
+    EXPECT_EQ(v.shr(s), expect) << s;
+    EXPECT_EQ(v.bits(s, 5), expect.w[0] & 31) << s;
+  }
+  EXPECT_EQ(v.bits(62, 5), 0x1fu & ((v.w[0] >> 62) | (v.w[1] << 2)));
+  EXPECT_EQ(U256::zero().countr_zero(), 256u);
+  EXPECT_EQ(U256::one().countr_zero(), 0u);
+  const U256 bit131{{0, 0, 8, 0}};
+  EXPECT_EQ(bit131.countr_zero(), 131u);
+}
+
 TEST(BigUint, BnParameterIdentities) {
   // p = 36u^4 + 36u^3 + 24u^2 + 6u + 1, r = 36u^4 + 36u^3 + 18u^2 + 6u + 1,
   // with u = 4965661367192848881. This pins the transcribed moduli to the

@@ -3,6 +3,7 @@
 
 #include "common/rng.hpp"
 #include "curve/hash_to_curve.hpp"
+#include "threshold/ro_scheme.hpp"
 
 namespace bnr {
 namespace {
@@ -105,6 +106,45 @@ TEST(G2, HashToCurve) {
   }
 }
 
+// Known answers for H(M), as compressed encodings: any change to the
+// hash's counter, root or sign choice breaks them. The "B" vectors of the
+// empty and 100-byte messages take counters 1 and 2.
+TEST(G1, HashToCurveKnownAnswers) {
+  Bytes m100;
+  for (int i = 0; i < 100; ++i) m100.push_back(static_cast<uint8_t>(i));
+  const std::array<Bytes, 3> msgs = {Bytes{}, Bytes{0x61}, m100};
+  const std::array<std::array<const char*, 3>, 2> expect = {{
+      {"02113b54072425071d8d51ca3ba133608fa8b6e2ee0804604289830ca5d7a88576",
+       "0206bdb2f5bca411a9f5facf3c17d00f745d8c3d8f97c6b9c575e235995b8ed827",
+       "020b8032d5b3d6c2eb6e93e051ce6a9dc9d0493e11d905acf950f0f48cc1fca11b"},
+      {"0212ca5fa6119e1c6acdaba5035d5393f0cc5fef2697ebd7dfed68ab6ffebaf6cb",
+       "020ceffe186a0b5ec16368fc9e2acfc60557076d45e6dec712dbb48e03a4ff3975",
+       "030a917a0e8b6003cc0659fb0d29f2de40a70eee9e9a46d5167505b710fd08a98c"},
+  }};
+  const std::array<const char*, 2> dsts = {"bnr-kat/A", "bnr-kat/B"};
+  for (size_t d = 0; d < dsts.size(); ++d)
+    for (size_t m = 0; m < msgs.size(); ++m)
+      EXPECT_EQ(to_hex(g1_to_bytes(hash_to_g1(dsts[d], msgs[m]))),
+                expect[d][m])
+          << dsts[d] << " len " << msgs[m].size();
+
+  // H(M) of the RO scheme: two G1 points per message.
+  threshold::RoScheme scheme(threshold::SystemParams::derive("bnr-kat"));
+  const std::array<std::array<const char*, 2>, 3> ro = {{
+      {"0203b2b590e59da6ce4dd478ef8bc317a3a511b1e6a845ed1ccef2087334265dd7",
+       "022e1b1c7d18290f8f0f0bd91181a79146a9bc4caf31d3801a43fa7801cd4b8c4b"},
+      {"0309bd3a82c775848af0fa6c971dae72599e61f4467eba8bfadeea818606bc9a90",
+       "02288ddf123bbe9f41c9bbc13ed24609f3e9f51729d6640806306418f490b27503"},
+      {"021e1d77d2364894dffe0770b658b8f29eae3e6e40ea0ed295047779aeba5b7e5b",
+       "031ad72bcadfb0ddb989e9e2ade2539edf3ec1e8aac1a3223eed13e1fa17263e2e"},
+  }};
+  for (size_t m = 0; m < msgs.size(); ++m) {
+    auto h = scheme.hash_message(msgs[m]);
+    EXPECT_EQ(to_hex(g1_to_bytes(h[0])), ro[m][0]) << "len " << msgs[m].size();
+    EXPECT_EQ(to_hex(g1_to_bytes(h[1])), ro[m][1]) << "len " << msgs[m].size();
+  }
+}
+
 TEST(G1, HashVectorIsIndependent) {
   Bytes msg = to_bytes("hello");
   auto vec = hash_to_g1_vector("H", msg, 3);
@@ -144,6 +184,25 @@ TEST(G1, DeserializeRejectsGarbage) {
   Bytes bad_tag = g1_to_bytes(G1Curve::generator_affine());
   bad_tag[0] = 9;
   EXPECT_THROW(g1_from_bytes(bad_tag), std::invalid_argument);
+  // The identity has one encoding: any nonzero byte after tag 0 is garbage.
+  for (size_t i : {1u, 16u, 32u}) {
+    Bytes id = g1_to_bytes(G1Affine::identity());
+    id[i] = 1;
+    EXPECT_THROW(g1_from_bytes(id), std::invalid_argument) << i;
+  }
+}
+
+TEST(G2, DeserializeRejectsGarbage) {
+  Bytes bad(kG2CompressedSize, 0xff);
+  EXPECT_THROW(g2_from_bytes(bad), std::invalid_argument);
+  Bytes bad_tag = g2_to_bytes(G2Curve::generator_affine());
+  bad_tag[0] = 9;
+  EXPECT_THROW(g2_from_bytes(bad_tag), std::invalid_argument);
+  for (size_t i : {1u, 32u, 33u, 64u}) {
+    Bytes id = g2_to_bytes(G2Affine::identity());
+    id[i] = 0x80;
+    EXPECT_THROW(g2_from_bytes(id), std::invalid_argument) << i;
+  }
 }
 
 TEST(G1, FromXYRejectsOffCurve) {

@@ -4,6 +4,8 @@
 // cached/batch verifiers (including rejection of a forged batch member).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/boldyreva.hpp"
 #include "common/rng.hpp"
 #include "curve/hash_to_curve.hpp"
@@ -94,38 +96,91 @@ TEST(Tower, MulBy034MatchesDense) {
   }
 }
 
+/// MSM inputs of size n that reach every branch of the signed-digit bucket
+/// method: the same point twice and P with -P under equal scalars (the
+/// mixed addition's doubling and cancel branches), an affine identity, and
+/// the scalars r-1, 2^128-1 and one whose every 5-bit window is 16 (a Booth
+/// carry out of every window). Entries from 8 on are distinct points with
+/// zero, one, small, 128-bit and full-width scalars.
+template <class Point>
+void msm_edge_inputs(size_t n, Rng& rng,
+                     std::vector<typename Point::Affine>& points,
+                     std::vector<Fr>& scalars) {
+  const size_t m = std::max<size_t>(n, 8);
+  std::vector<Point> jac;
+  Point p = Point::generator().mul(Fr::random(rng));
+  const Point step = Point::generator().mul(Fr::random(rng));
+  for (size_t i = 0; i < m; ++i, p = p + step) jac.push_back(p);
+  jac[1] = jac[0];
+  jac[3] = -jac[2];
+  jac[4] = Point::identity();
+  points = Point::batch_to_affine(jac);
+
+  U256 booth;
+  for (size_t bit = 4; bit < 250; bit += 5)
+    booth.w[bit / 64] |= uint64_t(1) << (bit % 64);
+  const uint64_t all = ~uint64_t(0);
+  scalars.clear();
+  for (size_t i = 0; i < m; ++i) {
+    switch (i < 8 ? i : 8 + i % 5) {
+      case 1: scalars.push_back(scalars[0]); break;
+      case 3: scalars.push_back(scalars[2]); break;
+      case 5: scalars.push_back(Fr::zero() - Fr::one()); break;
+      case 6: scalars.push_back(Fr::from_u256(U256{{all, all, 0, 0}})); break;
+      case 7: scalars.push_back(Fr::from_u256(booth)); break;
+      case 8: scalars.push_back(Fr::zero()); break;
+      case 9: scalars.push_back(Fr::one()); break;
+      case 10: scalars.push_back(Fr::from_u64(i)); break;
+      case 2:
+      case 11:
+        scalars.push_back(Fr::from_u256(
+            U256{{rng.next_u64(), rng.next_u64(), 0, 0}}));
+        break;
+      default: scalars.push_back(Fr::random(rng));
+    }
+  }
+  points.resize(n);
+  scalars.resize(n);
+}
+
+/// msm on affine and on Jacobian inputs against the naive oracle.
+template <class Point>
+void expect_msm_matches_naive(std::span<const typename Point::Affine> points,
+                              std::span<const Fr> scalars) {
+  std::vector<Point> jac;
+  for (const auto& a : points) jac.push_back(Point::from_affine(a));
+  const Point expect = msm_naive<Point>(jac, scalars);
+  EXPECT_EQ(msm<Point>(points, scalars), expect) << "n = " << points.size();
+  EXPECT_EQ(msm<Point>(jac, scalars), expect) << "n = " << points.size();
+}
+
 TEST(Msm, PippengerMatchesNaive) {
   Rng rng("pippenger");
-  for (size_t n : {0u, 1u, 2u, 7u, 8u, 17u, 63u, 257u}) {
-    std::vector<G1> points;
+  for (size_t n : {0u, 1u, 2u, 7u, 8u, 17u, 31u, 32u, 33u, 63u, 100u, 127u,
+                   128u, 257u, 300u, 512u}) {
+    std::vector<G1Affine> points;
     std::vector<Fr> scalars;
-    for (size_t i = 0; i < n; ++i) {
-      points.push_back(G1::generator().mul(Fr::random(rng)));
-      scalars.push_back(Fr::random(rng));
+    msm_edge_inputs<G1>(n, rng, points, scalars);
+    expect_msm_matches_naive<G1>(points, scalars);
+    // The batch-RLC shape: scalars cut to 128 bits. With 2^128-1 among them
+    // the top bit ends a window (c = 4 below 32 points), so the top window
+    // is the Booth carry's alone.
+    for (auto& k : scalars) {
+      const U256 v = k.to_u256();
+      k = Fr::from_u256(U256{{v.w[0], v.w[1], 0, 0}});
     }
-    EXPECT_EQ(msm<G1>(points, scalars), msm_naive<G1>(points, scalars))
-        << "n = " << n;
+    expect_msm_matches_naive<G1>(points, scalars);
   }
 }
 
 TEST(Msm, HandlesEdgeScalarsAndG2) {
   Rng rng("pippenger-edge");
-  std::vector<G2> points;
+  std::vector<G2Affine> points;
   std::vector<Fr> scalars;
-  for (size_t i = 0; i < 17; ++i)
-    points.push_back(G2::generator().mul(Fr::random(rng)));
-  // Mix zeros, ones, small and 128-bit scalars.
-  for (size_t i = 0; i < 17; ++i) {
-    switch (i % 4) {
-      case 0: scalars.push_back(Fr::zero()); break;
-      case 1: scalars.push_back(Fr::one()); break;
-      case 2: scalars.push_back(Fr::from_u64(i)); break;
-      default:
-        scalars.push_back(Fr::from_u256(
-            U256{{rng.next_u64(), rng.next_u64(), 0, 0}}));
-    }
+  for (size_t n : {7u, 8u, 17u, 31u, 32u, 127u, 128u, 512u}) {
+    msm_edge_inputs<G2>(n, rng, points, scalars);
+    expect_msm_matches_naive<G2>(points, scalars);
   }
-  EXPECT_EQ(msm<G2>(points, scalars), msm_naive<G2>(points, scalars));
   // All-zero scalars sum to the identity.
   std::vector<Fr> zeros(points.size(), Fr::zero());
   EXPECT_TRUE(msm<G2>(points, zeros).is_identity());

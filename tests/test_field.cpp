@@ -108,7 +108,10 @@ TEST(Fp, Sqrt) {
     auto root = sq.sqrt();
     ASSERT_TRUE(root.has_value());
     EXPECT_TRUE(*root == a || *root == -a);
-    if (a.sqrt())
+    EXPECT_TRUE(sq.is_square());
+    const bool square = a.sqrt().has_value();
+    EXPECT_EQ(a.is_square(), square);
+    if (square)
       ++residues;
     else
       ++non_residues;
@@ -116,6 +119,12 @@ TEST(Fp, Sqrt) {
   // Roughly half of random elements are squares.
   EXPECT_GT(residues, 10);
   EXPECT_GT(non_residues, 10);
+  // 0 and 1 are squares; -1 is not, because p = 3 (mod 4).
+  for (const Fp& e : {Fp::zero(), Fp::one(), -Fp::one()})
+    EXPECT_EQ(e.is_square(), e.sqrt().has_value());
+  EXPECT_TRUE(Fp::zero().is_square());
+  EXPECT_TRUE(Fp::one().is_square());
+  EXPECT_FALSE((-Fp::one()).is_square());
 }
 
 TEST(Fr, ModulusIsGroupOrder) {

@@ -107,30 +107,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 // ---------------------------------------------------------------------------
 // Parallel curve/pairing drivers vs their serial oracles
 
-TEST(Parallel, MsmMatchesSerialAndNaive) {
-  ThreadPool pool(4);
-  Rng rng("parallel-msm");
-  for (size_t n : {33u, 100u, 300u}) {
-    std::vector<G1> points;
-    std::vector<Fr> scalars;
-    for (size_t i = 0; i < n; ++i) {
-      points.push_back(G1::generator().mul(Fr::random(rng)));
-      scalars.push_back(Fr::random(rng));
-    }
-    G1 par = service::msm_parallel<G1>(pool, points, scalars);
-    EXPECT_EQ(par, msm<G1>(points, scalars)) << n;
-    EXPECT_EQ(par, msm_naive<G1>(points, scalars)) << n;
-  }
-}
-
-TEST(Parallel, MsmHandlesZeroScalarsAndIdentity) {
-  ThreadPool pool(2);
-  std::vector<G1> points(40, G1::generator());
-  std::vector<Fr> scalars(40, Fr::zero());
-  EXPECT_TRUE(
-      service::msm_parallel<G1>(pool, points, scalars).is_identity());
-}
-
 TEST(Parallel, MultiPairingMatchesSerial) {
   ThreadPool pool(4);
   Rng rng("parallel-pairing");
