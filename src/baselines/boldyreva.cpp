@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "pairing/pairing.hpp"
+#include "threshold/combine.hpp"
 
 namespace bnr::baselines {
 
@@ -74,15 +75,21 @@ bool BoldyrevaBls::share_verify(const G2Affine& vk, const G1Affine& neg_h,
 
 G1Affine BoldyrevaBls::combine(const BlsKeyMaterial& km,
                                std::span<const uint8_t> msg,
-                               std::span<const BlsPartialSignature> parts) const {
-  G1Affine neg_h = -hash_message(msg);  // hashed ONCE, not per partial
-  std::vector<BlsPartialSignature> valid;
-  for (const auto& p : parts) {
-    if (p.index < 1 || p.index > km.n) continue;
-    if (share_verify(km.vks[p.index - 1], neg_h, p)) valid.push_back(p);
-    if (valid.size() == km.t + 1) break;
-  }
-  return combine_unchecked(km.t, valid);
+                               std::span<const BlsPartialSignature> parts,
+                               std::vector<uint32_t>* cheaters) const {
+  G1Affine neg_h = -hash_message(msg);  // hashed ONCE for every check
+  return threshold::optimistic_combine(
+      km.n, km.t, parts,
+      [&](std::span<const BlsPartialSignature> head) {
+        return combine_unchecked(km.t, head);
+      },
+      [&](const G1Affine& sig) {
+        return share_verify(km.pk.pk, neg_h, {0, sig});
+      },
+      [&](const BlsPartialSignature& p) {
+        return share_verify(km.vks[p.index - 1], neg_h, p);
+      },
+      cheaters);
 }
 
 G1Affine BoldyrevaBls::combine_unchecked(

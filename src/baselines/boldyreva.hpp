@@ -59,12 +59,16 @@ class BoldyrevaBls {
   bool share_verify(const G2Affine& vk, const G1Affine& neg_h,
                     const BlsPartialSignature& psig) const;
 
+  /// Optimistic Combine (threshold/combine.hpp): the interpolated signature
+  /// is checked against km.pk, and Share-Verify runs only when that check
+  /// fails, appending bad indices to `cheaters`.
   G1Affine combine(const BlsKeyMaterial& km, std::span<const uint8_t> msg,
-                   std::span<const BlsPartialSignature> parts) const;
+                   std::span<const BlsPartialSignature> parts,
+                   std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Interpolates the first t+1 partials WITHOUT share verification, for
-  /// callers that already classified them (the serving-side combiner) or
-  /// hold honest-by-construction shares. Throws if fewer than t+1 given.
+  /// Interpolates the first t+1 partials WITHOUT share verification: the
+  /// interpolation step of combine(), and a shortcut for callers holding
+  /// honest-by-construction shares. Throws if fewer than t+1 given.
   G1Affine combine_unchecked(size_t t,
                              std::span<const BlsPartialSignature> parts) const;
 

@@ -422,8 +422,10 @@ void RpcServer::accept_ready(IoLoop& L) {
     // check-then-fetch_add would let two loops racing on the last slot both
     // pass the check and transiently over-admit past the cap.
     if (!reserve_conn_slot()) {
-      ::close(fd);
+      // Count before closing: a peer that sees the close and then reads
+      // STATS must find the rejection already counted.
       L.rejected.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
       BNR_LOG(obs::LogLevel::kWarn, "rpc", "conn_cap_reject",
               obs::kv("cap", uint64_t(cfg_.max_connections)));
       continue;
@@ -1201,9 +1203,12 @@ DaemonStats RpcServer::snapshot_stats() const {
   // verdicts, making the global row disagree with the sum of the per-scheme
   // rows and transiently breaking the accounting identity
   //   submitted == accepted + rejected + sheds + errors + in_progress
-  // that the chaos tests (and any alerting built on STATS) assert on.
+  // that the chaos tests (and any alerting built on STATS) assert on. The
+  // combine counters come the same way, so `combines` always equals the
+  // sum of the rows' `combines`.
   service::MultiTenantVerificationService::StatsBundle vb =
       verify_->stats_all();
+  service::MultiTenantCombineService::StatsBundle cb = combine_->stats_all();
   const service::ServiceStats& vs = vb.total;
   s.verify_submitted = vs.submitted;
   s.verify_batches = vs.batches;
@@ -1213,7 +1218,7 @@ DaemonStats RpcServer::snapshot_stats() const {
   s.verify_sheds = vs.deadline_sheds;
   s.verify_errors = vs.errors;
   s.verify_in_progress = vs.in_progress;
-  s.combines = combine_->stats().submitted;
+  s.combines = cb.total.submitted;
 
   // One row per scheme the registry serves — the registry knows every
   // scheme uniformly, so nothing here is per-family code.
@@ -1233,7 +1238,8 @@ DaemonStats RpcServer::snapshot_stats() const {
     row.verify_sheds = sv.deadline_sheds;
     row.verify_errors = sv.errors;
     row.verify_in_progress = sv.in_progress;
-    auto cs = combine_->stats(scheme->id());
+    const service::MultiTenantCombineService::Stats& cs =
+        cb.by_scheme[threshold::scheme_stats_slot(scheme->id())];
     row.cache_lookups = sv.cache_lookups + cs.cache_lookups;
     row.cache_misses = sv.cache_misses + cs.cache_misses;
     row.combines = cs.submitted;

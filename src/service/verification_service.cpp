@@ -367,14 +367,11 @@ void MultiTenantVerificationService::flusher_loop() {
 MultiTenantCombineService::MultiTenantCombineService(
     KeyCacheManager<threshold::PreparedCombiner>& cache,
     CombinerProvider prepare, ThreadPool& pool, std::string_view rng_label)
-    // Entropy-seeded master (label mixed in via fork): per-task RLC
-    // coefficients must be unpredictable, or colluding signers could craft
-    // invalid partials whose fold error terms cancel and slip past
-    // batch share verification's cheater identification.
+    // Entropy-seeded master (label mixed in via fork), so a plugin that does
+    // draw coins from its `rng` gets unpredictable ones.
     : cache_(cache),
       prepare_(std::move(prepare)),
       pool_(pool),
-      evaluator_(make_fold_evaluator(pool)),
       rng_(Rng::from_entropy().fork(rng_label)) {}
 
 MultiTenantCombineService::~MultiTenantCombineService() {
@@ -425,7 +422,7 @@ void MultiTenantCombineService::submit(
             return prepare_(k);
           });
       out.sig = pin->combine(std::get<1>(*state), *parts_shared,
-                             std::get<2>(*state), evaluator_, &out.cheaters);
+                             std::get<2>(*state), {}, &out.cheaters);
     } catch (...) {
       error = std::current_exception();
     }
@@ -492,6 +489,12 @@ MultiTenantCombineService::Stats MultiTenantCombineService::stats(
   return by_scheme_[scheme_stats_slot(id)];
 }
 
+MultiTenantCombineService::StatsBundle MultiTenantCombineService::stats_all()
+    const {
+  std::lock_guard<std::mutex> l(m_);
+  return {total_, by_scheme_};
+}
+
 obs::HistogramSnapshot MultiTenantCombineService::latency(
     threshold::SchemeId id) const {
   return latency_[scheme_stats_slot(id)].snapshot();
@@ -515,23 +518,6 @@ threshold::FoldEvaluator make_fold_evaluator(ThreadPool& pool) {
       terms.push_back({points[j], preps[j]});
     return pairing_product_is_one_parallel(pool, terms);
   };
-}
-
-threshold::Signature combine_parallel(
-    const threshold::RoCombiner& combiner, ThreadPool& pool,
-    std::span<const uint8_t> msg,
-    std::span<const threshold::PartialSignature> parts, Rng& rng,
-    std::vector<uint32_t>* cheaters) {
-  return combiner.combine_with(
-      msg, parts, rng,
-      [&pool](const threshold::RoCombiner::Fold& fold) {
-        std::vector<PreparedTerm> terms;
-        terms.reserve(fold.points.size());
-        for (size_t j = 0; j < fold.points.size(); ++j)
-          terms.push_back({fold.points[j], fold.preps[j]});
-        return pairing_product_is_one_parallel(pool, terms);
-      },
-      cheaters);
 }
 
 }  // namespace bnr::service

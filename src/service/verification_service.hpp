@@ -52,7 +52,6 @@
 #include "obs/trace.hpp"
 #include "service/key_cache.hpp"
 #include "service/thread_pool.hpp"
-#include "threshold/ro_scheme.hpp"
 #include "threshold/scheme_api.hpp"
 
 namespace bnr::service {
@@ -249,10 +248,10 @@ class MultiTenantVerificationService {
 
 /// What a combine request resolves to on success: the SERIALIZED combined
 /// signature (scheme-native encoding — the daemon puts it straight on the
-/// wire) plus the indices of bad partials identified
-/// along the way (non-empty only when the fold failed and the fallback scan
-/// attributed cheaters but still found t+1 valid shares — robustness with
-/// attribution).
+/// wire) plus the indices of bad partials identified along the way
+/// (non-empty only when the interpolated signature failed its check and the
+/// fallback scan attributed cheaters but still found t+1 valid shares —
+/// robustness with attribution).
 struct CombineOutcome {
   Bytes sig;
   std::vector<uint32_t> cheaters;
@@ -260,12 +259,11 @@ struct CombineOutcome {
 
 /// Combine requests interpolate DIFFERENT messages, so they do not fold into
 /// one RLC batch the way verify requests do; instead each runs as its own
-/// pool task over the per-committee PreparedCombiner (whose internal share
-/// verification is itself one RLC fold where the scheme supports it), pinned
-/// out of a KeyCacheManager per request — per-committee prepared-VK caches
-/// get the same byte-budget / pin-on-use treatment as the tenant verifiers.
-/// The folded pairing product is evaluated across the thread pool through
-/// the combiner's FoldEvaluator hook (schemes without the hook run serial).
+/// pool task over the per-committee PreparedCombiner (which interpolates and
+/// checks the one combined signature against the committee key, scanning
+/// partials only when that check fails), pinned out of a KeyCacheManager
+/// per request — per-committee prepared-VK caches get the same byte-budget /
+/// pin-on-use treatment as the tenant verifiers.
 class MultiTenantCombineService {
  public:
   using KeyId = std::string;
@@ -314,6 +312,15 @@ class MultiTenantCombineService {
   Stats stats() const;
   Stats stats(threshold::SchemeId id) const;
 
+  /// The aggregate AND every per-scheme slice under ONE lock acquisition
+  /// (see MultiTenantVerificationService::stats_all): the total equals the
+  /// sum of the slices in every snapshot.
+  struct StatsBundle {
+    Stats total;
+    std::array<Stats, threshold::kSchemeIdCount + 1> by_scheme{};
+  };
+  StatsBundle stats_all() const;
+
   /// Combine latency (submit -> outcome, ns); failures record too (the
   /// pairing work was paid either way).
   obs::HistogramSnapshot latency(threshold::SchemeId id) const;
@@ -325,28 +332,17 @@ class MultiTenantCombineService {
   KeyCacheManager<threshold::PreparedCombiner>& cache_;
   CombinerProvider prepare_;
   ThreadPool& pool_;
-  threshold::FoldEvaluator evaluator_;  // pool-parallel pairing product
   mutable std::mutex m_;  // guards rng_, in_flight_, stats
   std::condition_variable drained_;
   size_t in_flight_ = 0;
-  Rng rng_;
+  Rng rng_;  // master; forked per request for the combiner's `rng`
   Stats total_;
   std::array<Stats, threshold::kSchemeIdCount + 1> by_scheme_{};
   std::array<obs::Histogram, threshold::kSchemeIdCount + 1> latency_;
 };
 
-/// Batched Combine with the fold's pairing product and MSMs evaluated across
-/// the pool (parallel Miller-loop chunks; per-partial fallback on failure
-/// delegates to the combiner's serial path).
-threshold::Signature combine_parallel(
-    const threshold::RoCombiner& combiner, ThreadPool& pool,
-    std::span<const uint8_t> msg,
-    std::span<const threshold::PartialSignature> parts, Rng& rng,
-    std::vector<uint32_t>* cheaters = nullptr);
-
-/// The pool-parallel pairing-product evaluator the unified combine service
-/// injects into PreparedCombiner::combine (exposed for tests/benches that
-/// drive erased combiners directly).
+/// A pool-parallel pairing-product evaluator (see threshold::FoldEvaluator;
+/// no built-in combiner calls it).
 threshold::FoldEvaluator make_fold_evaluator(ThreadPool& pool);
 
 }  // namespace bnr::service

@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "common/serde.hpp"
 #include "pairing/pairing.hpp"
+#include "threshold/combine.hpp"
 
 namespace bnr::threshold {
 
@@ -178,17 +179,24 @@ bool AggregateScheme::share_verify(const VerificationKey& vk,
   return pairing_product_is_one(terms);
 }
 
-Signature AggregateScheme::combine(
-    const AggKeyMaterial& km, std::span<const uint8_t> msg,
-    std::span<const PartialSignature> parts) const {
-  // Same Share-Verify equation as the main scheme (only the hash binds the
-  // key), so the batched RLC selection is shared with RoScheme::combine.
-  auto h = hash_message(km.pk, msg);  // hashed ONCE, not per partial
-  Rng rng = transcript_rng(params_.hash_dst("agg-combine-rlc"), msg, parts);
-  auto valid =
-      select_valid_partials(params_, km.vks, km.n, km.t, h, parts, rng);
-  RoScheme base(params_);
-  return base.combine_unchecked(km.t, valid);
+Signature AggregateScheme::combine(const AggKeyMaterial& km,
+                                   std::span<const uint8_t> msg,
+                                   std::span<const PartialSignature> parts,
+                                   std::vector<uint32_t>* cheaters) const {
+  // Same equations as the main scheme; only the hash binds the key.
+  auto h = hash_message(km.pk, msg);  // hashed ONCE for every check
+  const VerificationKey key{km.pk.g};
+  const RoScheme base(params_);
+  return optimistic_combine(
+      km.n, km.t, parts,
+      [&](std::span<const PartialSignature> head) {
+        return base.combine_unchecked(km.t, head);
+      },
+      [&](const Signature& s) { return share_verify(key, h, {0, s.z, s.r}); },
+      [&](const PartialSignature& p) {
+        return share_verify(km.vks[p.index - 1], h, p);
+      },
+      cheaters);
 }
 
 bool AggregateScheme::verify(const AggPublicKey& pk,

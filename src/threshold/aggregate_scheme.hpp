@@ -78,8 +78,12 @@ class AggregateScheme {
   bool share_verify(const VerificationKey& vk,
                     const std::array<G1Affine, 2>& h,
                     const PartialSignature& sig) const;
+  /// Optimistic Combine (threshold/combine.hpp) under H(PK || M): the
+  /// interpolated signature is checked against km.pk, and Share-Verify runs
+  /// only when that check fails, appending bad indices to `cheaters`.
   Signature combine(const AggKeyMaterial& km, std::span<const uint8_t> msg,
-                    std::span<const PartialSignature> parts) const;
+                    std::span<const PartialSignature> parts,
+                    std::vector<uint32_t>* cheaters = nullptr) const;
   bool verify(const AggPublicKey& pk, std::span<const uint8_t> msg,
               const Signature& sig) const;
 

@@ -4,9 +4,8 @@
 
 #include "common/rng.hpp"
 #include "common/serde.hpp"
-#include "common/sha256.hpp"
 #include "pairing/pairing.hpp"
-#include "threshold/ro_scheme.hpp"
+#include "threshold/combine.hpp"
 
 namespace bnr::threshold {
 
@@ -201,80 +200,6 @@ bool DlinScheme::share_verify(const DlinVerificationKey& vk,
 
 namespace {
 
-/// Independent RLC coefficient sets for the two Share-Verify equations
-/// (alpha for eq1, beta for eq2); only alpha_0 may be pinned to 1.
-void dlin_rlc_coefficients(size_t m, Rng& rng, std::vector<Fr>& alpha,
-                           std::vector<Fr>& beta) {
-  alpha.resize(m);
-  beta.resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    alpha[j] = j == 0 ? Fr::one() : random_rlc_coefficient(rng);
-    beta[j] = random_rlc_coefficient(rng);
-  }
-}
-
-/// G1 side of the two-equation fold, shared by the stateless and cached
-/// paths: [sum a_j z_j, sum a_j r_j, sum b_j z_j, sum b_j u_j, then per
-/// partial j and k: a_j H_k, b_j H_k], batch-normalized to affine.
-std::vector<G1Affine> dlin_fold_points(
-    const std::array<G1Affine, 3>& h,
-    std::span<const DlinPartialSignature> parts, std::span<const Fr> alpha,
-    std::span<const Fr> beta) {
-  const size_t m = parts.size();
-  std::vector<G1Affine> zs, rs, us;
-  zs.reserve(m);
-  rs.reserve(m);
-  us.reserve(m);
-  for (const auto& p : parts) {
-    zs.push_back(p.z);
-    rs.push_back(p.r);
-    us.push_back(p.u);
-  }
-  std::array<G1, 3> hj;
-  for (size_t k = 0; k < 3; ++k) hj[k] = G1::from_affine(h[k]);
-  std::vector<G1> scaled;
-  scaled.reserve(4 + 6 * m);
-  scaled.push_back(msm<G1>(zs, alpha));
-  scaled.push_back(msm<G1>(rs, alpha));
-  scaled.push_back(msm<G1>(zs, beta));
-  scaled.push_back(msm<G1>(us, beta));
-  for (size_t j = 0; j < m; ++j)
-    for (size_t k = 0; k < 3; ++k) {
-      scaled.push_back(hj[k].mul(alpha[j]));
-      scaled.push_back(hj[k].mul(beta[j]));
-    }
-  return batch_to_affine<G1Curve>(scaled);
-}
-
-/// Both Share-Verify equations of every partial folded into one pairing
-/// product with independent RLC coefficient sets (alpha for eq1, beta for
-/// eq2): 4 + 6m terms, one squaring chain, one final exponentiation.
-bool dlin_batch_share_fold(const SystemParams& params,
-                           std::span<const DlinVerificationKey> vks,
-                           const std::array<G1Affine, 3>& h,
-                           std::span<const DlinPartialSignature> parts,
-                           Rng& rng) {
-  const size_t m = parts.size();
-  if (m == 0) return true;
-  std::vector<Fr> alpha, beta;
-  dlin_rlc_coefficients(m, rng, alpha, beta);
-  auto affine = dlin_fold_points(h, parts, alpha, beta);
-  std::vector<PairingTerm> terms;
-  terms.reserve(4 + 6 * m);
-  terms.push_back({affine[0], params.g_z});
-  terms.push_back({affine[1], params.g_r});
-  terms.push_back({affine[2], params.h_z});
-  terms.push_back({affine[3], params.h_u});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& vk = vks[parts[j].index - 1];
-    for (size_t k = 0; k < 3; ++k) {
-      terms.push_back({affine[4 + 6 * j + 2 * k], vk.u[k]});
-      terms.push_back({affine[4 + 6 * j + 2 * k + 1], vk.z[k]});
-    }
-  }
-  return pairing_product_is_one(terms);
-}
-
 DlinSignature dlin_interpolate(std::span<const DlinPartialSignature> valid) {
   std::vector<uint32_t> indices;
   for (const auto& p : valid) indices.push_back(p.index);
@@ -294,27 +219,16 @@ DlinSignature dlin_interpolate(std::span<const DlinPartialSignature> valid) {
 DlinSignature DlinScheme::combine(
     const DlinKeyMaterial& km, std::span<const uint8_t> msg,
     std::span<const DlinPartialSignature> parts) const {
-  auto h = hash_message(msg);  // hashed ONCE, not per partial signature
-  std::vector<DlinPartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= km.n) candidates.push_back(p);
-  if (candidates.size() >= km.t + 1) {
-    Rng rng =
-        transcript_rng(params_.hash_dst("dlin-combine-rlc"), msg, parts);
-    std::span<const DlinPartialSignature> head(candidates.data(), km.t + 1);
-    if (dlin_batch_share_fold(params_, km.vks, h, head, rng))
-      return dlin_interpolate(head);
-  }
-  // Fold failed: sequential scan, identical to the pre-batching path.
-  std::vector<DlinPartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (share_verify(km.vks[p.index - 1], h, p)) valid.push_back(p);
-    if (valid.size() == km.t + 1) break;
-  }
-  if (valid.size() < km.t + 1)
-    throw std::runtime_error("dlin combine: fewer than t+1 valid shares");
-  return dlin_interpolate(valid);
+  auto h = hash_message(msg);  // hashed ONCE for every check
+  const DlinVerificationKey key{km.pk.g, km.pk.h};
+  return optimistic_combine(
+      km.n, km.t, parts, dlin_interpolate,
+      [&](const DlinSignature& s) {
+        return share_verify(key, h, {0, s.z, s.r, s.u});
+      },
+      [&](const DlinPartialSignature& p) {
+        return share_verify(km.vks[p.index - 1], h, p);
+      });
 }
 
 bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
@@ -427,7 +341,8 @@ DlinCombiner::DlinCombiner(const DlinScheme& scheme,
       gz_(scheme.params().g_z),
       gr_(scheme.params().g_r),
       hz_(scheme.params().h_z),
-      hu_(scheme.params().h_u) {
+      hu_(scheme.params().h_u),
+      key_(&gz_, &gr_, &hz_, &hu_, DlinVerificationKey{km.pk.g, km.pk.h}) {
   players_.reserve(km.n);
   for (size_t i = 0; i < km.n; ++i)
     players_.emplace_back(&gz_, &gr_, &hz_, &hu_, km.vks[i]);
@@ -440,65 +355,19 @@ bool DlinCombiner::share_verify(const std::array<G1Affine, 3>& h,
   return players_[sig.index - 1].verify(h, sig);
 }
 
-bool DlinCombiner::batch_share_verify(
-    const std::array<G1Affine, 3>& h,
-    std::span<const DlinPartialSignature> parts, Rng& rng) const {
-  const size_t m = parts.size();
-  if (m == 0) return true;
-  for (const auto& p : parts)
-    if (p.index < 1 || p.index > n_)
-      throw std::invalid_argument("DlinCombiner: partial index out of range");
-  std::vector<Fr> alpha, beta;
-  dlin_rlc_coefficients(m, rng, alpha, beta);
-  auto affine = dlin_fold_points(h, parts, alpha, beta);
-  std::vector<PreparedTerm> terms;
-  terms.reserve(4 + 6 * m);
-  terms.push_back({affine[0], &gz_});
-  terms.push_back({affine[1], &gr_});
-  terms.push_back({affine[2], &hz_});
-  terms.push_back({affine[3], &hu_});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& sv = players_[parts[j].index - 1];
-    for (size_t k = 0; k < 3; ++k) {
-      terms.push_back({affine[4 + 6 * j + 2 * k], &sv.u_prep(k)});
-      terms.push_back({affine[4 + 6 * j + 2 * k + 1], &sv.z_prep(k)});
-    }
-  }
-  return pairing_product_is_one(terms);
-}
-
 DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,
                                     std::span<const DlinPartialSignature> parts,
-                                    Rng& rng,
                                     std::vector<uint32_t>* cheaters) const {
   auto h = scheme_.hash_message(msg);
-  std::vector<DlinPartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n_) candidates.push_back(p);
-  if (candidates.size() >= t_ + 1) {
-    std::span<const DlinPartialSignature> head(candidates.data(), t_ + 1);
-    if (batch_share_verify(h, head, rng)) return dlin_interpolate(head);
-  }
-  std::vector<DlinPartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (players_[p.index - 1].verify(h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t_ + 1) break;
-  }
-  if (valid.size() < t_ + 1)
-    throw std::runtime_error("dlin combine: fewer than t+1 valid shares");
-  return dlin_interpolate(valid);
-}
-
-DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,
-                                    std::span<const DlinPartialSignature> parts,
-                                    std::vector<uint32_t>* cheaters) const {
-  Rng rng = transcript_rng(scheme_.params().hash_dst("dlin-combine-rlc"),
-                                msg, parts);
-  return combine(msg, parts, rng, cheaters);
+  return optimistic_combine(
+      n_, t_, parts, dlin_interpolate,
+      [&](const DlinSignature& s) {
+        return key_.verify(h, {0, s.z, s.r, s.u});
+      },
+      [&](const DlinPartialSignature& p) {
+        return players_[p.index - 1].verify(h, p);
+      },
+      cheaters);
 }
 
 }  // namespace bnr::threshold

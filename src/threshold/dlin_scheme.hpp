@@ -91,11 +91,11 @@ class DlinScheme {
                     const std::array<G1Affine, 3>& h,
                     const DlinPartialSignature& sig) const;
 
-  /// Combines t+1 valid partial signatures. Both Share-Verify equations of
-  /// all t+1 candidates are batch-checked with ONE RLC pairing-product fold
-  /// (Fiat-Shamir coefficients); per-partial verification runs only when the
-  /// fold fails, to identify cheaters. Sequential-path semantics: the first
-  /// t+1 valid partials in input order are combined.
+  /// Optimistic Combine (threshold/combine.hpp): interpolates the first t+1
+  /// partials with distinct indices and returns that signature if both
+  /// verification equations hold under km.pk; otherwise Share-Verifies
+  /// partials in input order and interpolates the first t+1 valid ones.
+  /// Throws std::runtime_error if fewer than t+1 valid shares remain.
   DlinSignature combine(const DlinKeyMaterial& km,
                         std::span<const uint8_t> msg,
                         std::span<const DlinPartialSignature> parts) const;
@@ -147,8 +147,14 @@ class DlinShareVerifier {
   bool verify(const std::array<G1Affine, 3>& h,
               const DlinPartialSignature& sig) const;
 
-  const G2Prepared& u_prep(size_t k) const { return u_[k]; }
-  const G2Prepared& z_prep(size_t k) const { return z_[k]; }
+  /// Heap bytes of the six owned line tables (the shared generators are
+  /// counted once by the enclosing combiner).
+  size_t line_bytes() const {
+    size_t b = 0;
+    for (size_t k = 0; k < 3; ++k)
+      b += u_[k].line_bytes() + z_[k].line_bytes();
+    return b;
+  }
 
  private:
   const G2Prepared* g_z_;
@@ -158,12 +164,13 @@ class DlinShareVerifier {
   std::array<G2Prepared, 3> u_, z_;
 };
 
-/// Serving-side Combine engine for a DLIN committee. Folds BOTH Share-Verify
-/// equations of all t+1 candidates into one product of 4 + 6(t+1) pairings
-/// (independent RLC coefficient sets per equation), instead of t+1 pairs of
-/// 8-pairing products. Falls back to cached per-partial verification to
-/// identify cheaters only when the fold fails. Not movable (per-player
-/// verifiers point at the shared generator preparations).
+/// Serving-side Combine engine for a DLIN committee: caches the prepared
+/// lines of the four generators, the six committee-key elements and every
+/// player's six key elements. combine() interpolates first and checks the
+/// one combined signature against the key, two 5-term prepared products at
+/// any t, and runs cached per-partial Share-Verify only when that check
+/// fails, to name cheaters (threshold/combine.hpp). Not movable: the key
+/// and per-player verifiers point at the shared generator preparations.
 class DlinCombiner {
  public:
   DlinCombiner(const DlinScheme& scheme, const DlinKeyMaterial& km);
@@ -176,27 +183,22 @@ class DlinCombiner {
 
   bool share_verify(const std::array<G1Affine, 3>& h,
                     const DlinPartialSignature& sig) const;
-  bool batch_share_verify(const std::array<G1Affine, 3>& h,
-                          std::span<const DlinPartialSignature> parts,
-                          Rng& rng) const;
 
-  DlinSignature combine(std::span<const uint8_t> msg,
-                        std::span<const DlinPartialSignature> parts, Rng& rng,
-                        std::vector<uint32_t>* cheaters = nullptr) const;
-  /// Fiat-Shamir variant (deterministic; matches DlinScheme::combine).
+  /// Optimistic Combine with every G2 input prepared; the same output as
+  /// DlinScheme::combine. Appends the indices of bad partials found by the
+  /// fallback scan to `cheaters` when given.
   DlinSignature combine(std::span<const uint8_t> msg,
                         std::span<const DlinPartialSignature> parts,
                         std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (shared generator lines + every player's six cached
-  /// key-element lines) for the KeyCacheManager byte budget.
+  /// Resident footprint (shared generator lines + the key's six lines +
+  /// every player's six cached key-element lines) for the KeyCacheManager
+  /// byte budget.
   size_t cache_bytes() const {
     size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               hz_.line_bytes() + hu_.line_bytes() +
+               hz_.line_bytes() + hu_.line_bytes() + key_.line_bytes() +
                players_.capacity() * sizeof(DlinShareVerifier);
-    for (const auto& p : players_)
-      for (size_t k = 0; k < 3; ++k)
-        b += p.u_prep(k).line_bytes() + p.z_prep(k).line_bytes();
+    for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
@@ -204,6 +206,7 @@ class DlinCombiner {
   DlinScheme scheme_;
   size_t n_ = 0, t_ = 0;
   G2Prepared gz_, gr_, hz_, hu_;
+  DlinShareVerifier key_;  // the committee key: the verification key at 0
   std::vector<DlinShareVerifier> players_;
 };
 

@@ -4,8 +4,8 @@
 
 #include "common/rng.hpp"
 #include "common/serde.hpp"
-#include "common/sha256.hpp"
 #include "pairing/pairing.hpp"
+#include "threshold/combine.hpp"
 
 namespace bnr::threshold {
 
@@ -213,121 +213,17 @@ Signature RoScheme::combine_unchecked(
 Signature RoScheme::combine(const KeyMaterial& km,
                             std::span<const uint8_t> msg,
                             std::span<const PartialSignature> parts) const {
-  auto h = hash_message(msg);  // hashed ONCE, not per partial signature
-  Rng rng = transcript_rng(params_.hash_dst("combine-rlc"), msg, parts);
-  auto valid =
-      select_valid_partials(params_, km.vks, km.n, km.t, h, parts, rng);
-  return combine_unchecked(km.t, valid);
-}
-
-// ---------------------------------------------------------------------------
-// Batched share verification (the Combine hot path)
-
-namespace {
-
-/// RLC coefficients for a fold of `n` terms: the first pinned to 1, the rest
-/// uniform nonzero 128-bit scalars.
-std::vector<Fr> rlc_coefficients(size_t n, Rng& rng) {
-  std::vector<Fr> coeff(n);
-  if (n == 0) return coeff;
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-  return coeff;
-}
-
-/// G1 side of the folded Share-Verify product, shared by the stateless and
-/// cached paths: [sum e_j z_j, sum e_j r_j, then per partial e_j H_1,
-/// e_j H_2], batch-normalized to affine with one inversion.
-std::vector<G1Affine> ro_fold_points(const std::array<G1Affine, 2>& h,
-                                     std::span<const PartialSignature> parts,
-                                     std::span<const Fr> coeff) {
-  const size_t m = parts.size();
-  std::vector<G1Affine> zs, rs;
-  zs.reserve(m);
-  rs.reserve(m);
-  for (const auto& p : parts) {
-    zs.push_back(p.z);
-    rs.push_back(p.r);
-  }
-  G1 h1 = G1::from_affine(h[0]), h2 = G1::from_affine(h[1]);
-  std::vector<G1> scaled;
-  scaled.reserve(2 * m + 2);
-  scaled.push_back(msm<G1>(zs, coeff));
-  scaled.push_back(msm<G1>(rs, coeff));
-  for (size_t j = 0; j < m; ++j) {
-    scaled.push_back(h1.mul(coeff[j]));
-    scaled.push_back(h2.mul(coeff[j]));
-  }
-  return batch_to_affine<G1Curve>(scaled);
-}
-
-/// The folded Share-Verify product over `parts` with unprepared (on-the-fly)
-/// G2 inputs: used by the stateless combine paths.
-bool batch_share_fold(const SystemParams& params,
-                      std::span<const VerificationKey> vks,
-                      const std::array<G1Affine, 2>& h,
-                      std::span<const PartialSignature> parts, Rng& rng) {
-  const size_t m = parts.size();
-  if (m == 0) return true;
-  auto coeff = rlc_coefficients(m, rng);
-  auto affine = ro_fold_points(h, parts, coeff);
-  std::vector<PairingTerm> terms;
-  terms.reserve(2 * m + 2);
-  terms.push_back({affine[0], params.g_z});
-  terms.push_back({affine[1], params.g_r});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& vk = vks[parts[j].index - 1];
-    terms.push_back({affine[2 + 2 * j], vk.v[0]});
-    terms.push_back({affine[3 + 2 * j], vk.v[1]});
-  }
-  return pairing_product_is_one(terms);
-}
-
-/// Unprepared per-partial Share-Verify (the sequential fallback).
-bool share_verify_one(const SystemParams& params, const VerificationKey& vk,
-                      const std::array<G1Affine, 2>& h,
-                      const PartialSignature& sig) {
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params.g_z},
-      PairingTerm{sig.r, params.g_r},
-      PairingTerm{h[0], vk.v[0]},
-      PairingTerm{h[1], vk.v[1]},
-  };
-  return pairing_product_is_one(terms);
-}
-
-}  // namespace
-
-std::vector<PartialSignature> select_valid_partials(
-    const SystemParams& params, std::span<const VerificationKey> vks, size_t n,
-    size_t t, const std::array<G1Affine, 2>& h,
-    std::span<const PartialSignature> parts, Rng& rng,
-    std::vector<uint32_t>* cheaters) {
-  std::vector<PartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n) candidates.push_back(p);
-  if (candidates.size() >= t + 1) {
-    // Happy path: one fold over exactly the t+1 partials the sequential scan
-    // would have verified. If they are all honest this is the only pairing
-    // product Combine pays.
-    std::span<const PartialSignature> head(candidates.data(), t + 1);
-    if (batch_share_fold(params, vks, h, head, rng))
-      return {head.begin(), head.end()};
-  }
-  // Fold failed (or too few candidates): sequential scan, identical to the
-  // pre-batching path — verify in input order until t+1 valid are found.
-  std::vector<PartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (share_verify_one(params, vks[p.index - 1], h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t + 1) break;
-  }
-  if (valid.size() < t + 1)
-    throw std::runtime_error("combine: fewer than t+1 valid shares");
-  return valid;
+  auto h = hash_message(msg);  // hashed ONCE for every check
+  const VerificationKey key{km.pk.g};
+  return optimistic_combine(
+      km.n, km.t, parts,
+      [&](std::span<const PartialSignature> head) {
+        return combine_unchecked(km.t, head);
+      },
+      [&](const Signature& s) { return share_verify(key, h, {0, s.z, s.r}); },
+      [&](const PartialSignature& p) {
+        return share_verify(km.vks[p.index - 1], h, p);
+      });
 }
 
 bool RoScheme::verify(const PublicKey& pk, std::span<const uint8_t> msg,
@@ -440,7 +336,8 @@ RoCombiner::RoCombiner(const RoScheme& scheme, const KeyMaterial& km)
       n_(km.n),
       t_(km.t),
       gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r) {
+      gr_(scheme.params().g_r),
+      key_(&gz_, &gr_, VerificationKey{km.pk.g}) {
   players_.reserve(km.n);
   for (size_t i = 0; i < km.n; ++i)
     players_.emplace_back(&gz_, &gr_, km.vks[i]);
@@ -453,85 +350,20 @@ bool RoCombiner::share_verify(const std::array<G1Affine, 2>& h,
   return players_[sig.index - 1].verify(h, sig);
 }
 
-RoCombiner::Fold RoCombiner::build_fold(
-    const std::array<G1Affine, 2>& h, std::span<const PartialSignature> parts,
-    Rng& rng) const {
-  const size_t m = parts.size();
-  Fold fold;
-  if (m == 0) return fold;
-  for (const auto& p : parts)
-    if (p.index < 1 || p.index > n_)
-      throw std::invalid_argument("RoCombiner: partial index out of range");
-  auto coeff = rlc_coefficients(m, rng);
-  fold.points = ro_fold_points(h, parts, coeff);
-  fold.preps.reserve(2 * m + 2);
-  fold.preps.push_back(&gz_);
-  fold.preps.push_back(&gr_);
-  for (const auto& p : parts) {
-    fold.preps.push_back(&players_[p.index - 1].vk_prep(0));
-    fold.preps.push_back(&players_[p.index - 1].vk_prep(1));
-  }
-  return fold;
-}
-
-namespace {
-/// Serial evaluation of a built fold: one prepared pairing product.
-bool fold_holds(const RoCombiner::Fold& fold) {
-  std::vector<PreparedTerm> terms;
-  terms.reserve(fold.points.size());
-  for (size_t j = 0; j < fold.points.size(); ++j)
-    terms.push_back({fold.points[j], fold.preps[j]});
-  return pairing_product_is_one(terms);
-}
-}  // namespace
-
-bool RoCombiner::batch_share_verify(const std::array<G1Affine, 2>& h,
-                                    std::span<const PartialSignature> parts,
-                                    Rng& rng) const {
-  return fold_holds(build_fold(h, parts, rng));
-}
-
-Signature RoCombiner::combine_with(
-    std::span<const uint8_t> msg, std::span<const PartialSignature> parts,
-    Rng& rng, const std::function<bool(const Fold&)>& evaluate,
-    std::vector<uint32_t>* cheaters) const {
+Signature RoCombiner::combine(std::span<const uint8_t> msg,
+                              std::span<const PartialSignature> parts,
+                              std::vector<uint32_t>* cheaters) const {
   auto h = scheme_.hash_message(msg);
-  std::vector<PartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n_) candidates.push_back(p);
-  if (candidates.size() >= t_ + 1) {
-    std::span<const PartialSignature> head(candidates.data(), t_ + 1);
-    if (evaluate(build_fold(h, head, rng)))
-      return scheme_.combine_unchecked(t_, head);
-  }
-  // Fold failed: cached per-partial scan, sequential-path semantics.
-  std::vector<PartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (players_[p.index - 1].verify(h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t_ + 1) break;
-  }
-  if (valid.size() < t_ + 1)
-    throw std::runtime_error("combine: fewer than t+1 valid shares");
-  return scheme_.combine_unchecked(t_, valid);
-}
-
-Signature RoCombiner::combine(std::span<const uint8_t> msg,
-                              std::span<const PartialSignature> parts,
-                              Rng& rng,
-                              std::vector<uint32_t>* cheaters) const {
-  return combine_with(msg, parts, rng, fold_holds, cheaters);
-}
-
-Signature RoCombiner::combine(std::span<const uint8_t> msg,
-                              std::span<const PartialSignature> parts,
-                              std::vector<uint32_t>* cheaters) const {
-  Rng rng =
-      transcript_rng(scheme_.params().hash_dst("combine-rlc"), msg, parts);
-  return combine(msg, parts, rng, cheaters);
+  return optimistic_combine(
+      n_, t_, parts,
+      [&](std::span<const PartialSignature> head) {
+        return scheme_.combine_unchecked(t_, head);
+      },
+      [&](const Signature& s) { return key_.verify(h, {0, s.z, s.r}); },
+      [&](const PartialSignature& p) {
+        return players_[p.index - 1].verify(h, p);
+      },
+      cheaters);
 }
 
 KeyShare RoScheme::recover(const KeyMaterial& km, Rng& rng, uint32_t lost,

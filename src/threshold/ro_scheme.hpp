@@ -10,12 +10,10 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
 
 #include "common/rng.hpp"
 #include "common/secret.hpp"
-#include "common/sha256.hpp"
 #include "dkg/pedersen_dkg.hpp"
 #include "dkg/proactive.hpp"
 #include "pairing/pairing.hpp"
@@ -103,13 +101,11 @@ class RoScheme {
                     const std::array<G1Affine, 2>& h,
                     const PartialSignature& sig) const;
 
-  /// Combines t+1 valid partial signatures. All candidate partials are
-  /// batch-verified with ONE RLC pairing-product fold (coefficients derived
-  /// Fiat-Shamir style from the transcript); only when the fold fails does it
-  /// fall back to per-partial Share-Verify to identify cheaters and skip them
-  /// (robustness). Throws std::runtime_error if fewer than t+1 valid shares
-  /// remain. Semantically identical to the sequential path: the first t+1
-  /// valid partials in input order are combined.
+  /// Optimistic Combine (threshold/combine.hpp): interpolates the first t+1
+  /// partials with distinct indices and returns that signature if it
+  /// verifies under km.pk; otherwise Share-Verifies partials in input order
+  /// and interpolates the first t+1 valid ones (robustness). Throws
+  /// std::runtime_error if fewer than t+1 valid shares remain.
   Signature combine(const KeyMaterial& km, std::span<const uint8_t> msg,
                     std::span<const PartialSignature> parts) const;
 
@@ -184,7 +180,11 @@ class RoShareVerifier {
   bool verify(const std::array<G1Affine, 2>& h,
               const PartialSignature& sig) const;
 
-  const G2Prepared& vk_prep(size_t k) const { return vk_[k]; }
+  /// Heap bytes of the two owned line tables (the shared ones are counted
+  /// once by the enclosing combiner).
+  size_t line_bytes() const {
+    return vk_[0].line_bytes() + vk_[1].line_bytes();
+  }
 
  private:
   const G2Prepared* g_z_;
@@ -193,15 +193,13 @@ class RoShareVerifier {
 };
 
 /// Serving-side Combine engine for one committee: caches the prepared lines
-/// of g^_z, g^_r and of EVERY player's verification key, and checks all t+1
-/// candidate partials with ONE RLC pairing-product fold
-///   e(sum e_i z_i, g^_z) e(sum e_i r_i, g^_r)
-///     prod_i [ e(e_i H_1, V^_{1,i}) e(e_i H_2, V^_{2,i}) ] == 1
-/// — 2 + 2(t+1) pairings sharing one squaring chain and one final
-/// exponentiation, instead of t+1 independent 4-pairing products. Falls back
-/// to cached per-partial verification only when the fold fails, to identify
-/// cheaters. Not movable: the per-player verifiers point at the shared
-/// g^_z/g^_r preparations.
+/// of g^_z, g^_r, the committee key (g^_1, g^_2) and EVERY player's
+/// verification key. combine() interpolates first and checks the one
+/// combined signature against the key, a 4-term prepared product at any t,
+///   e(z, g^_z) e(r, g^_r) e(H_1, g^_1) e(H_2, g^_2) == 1,
+/// and runs cached per-partial Share-Verify only when that check fails, to
+/// name cheaters (threshold/combine.hpp). Not movable: the key and
+/// per-player verifiers point at the shared g^_z/g^_r preparations.
 class RoCombiner {
  public:
   RoCombiner(const RoScheme& scheme, const KeyMaterial& km);
@@ -218,52 +216,21 @@ class RoCombiner {
   bool share_verify(const std::array<G1Affine, 2>& h,
                     const PartialSignature& sig) const;
 
-  /// One RLC fold over `parts` (all indices must be in [1, n]). A batch
-  /// containing an invalid partial passes with probability <= ~N/2^128.
-  bool batch_share_verify(const std::array<G1Affine, 2>& h,
-                          std::span<const PartialSignature> parts,
-                          Rng& rng) const;
-
-  /// The folded pairing product, exposed so the service layer can evaluate
-  /// it across a thread pool: valid (up to RLC soundness) iff
-  /// prod_j e(points[j], *preps[j]) == 1.
-  struct Fold {
-    std::vector<G1Affine> points;
-    std::vector<const G2Prepared*> preps;
-  };
-  Fold build_fold(const std::array<G1Affine, 2>& h,
-                  std::span<const PartialSignature> parts, Rng& rng) const;
-
-  /// Batched Combine: verifies the first t+1 candidates with one fold; on
-  /// failure re-checks partials individually (exactly the sequential
-  /// semantics), appending the indices of bad partials inspected along the
-  /// way to `cheaters` when given. Throws if fewer than t+1 valid.
-  Signature combine(std::span<const uint8_t> msg,
-                    std::span<const PartialSignature> parts, Rng& rng,
-                    std::vector<uint32_t>* cheaters = nullptr) const;
-
-  /// Core of combine() with the fold check pluggable: `evaluate(fold)`
-  /// decides the batched product, letting the service layer substitute
-  /// pool-parallel evaluation without duplicating the selection/fallback
-  /// flow.
-  Signature combine_with(std::span<const uint8_t> msg,
-                         std::span<const PartialSignature> parts, Rng& rng,
-                         const std::function<bool(const Fold&)>& evaluate,
-                         std::vector<uint32_t>* cheaters = nullptr) const;
-
-  /// Same, with Fiat-Shamir RLC coefficients derived from the transcript
-  /// (deterministic; matches RoScheme::combine).
+  /// Optimistic Combine with every G2 input prepared; the same output as
+  /// RoScheme::combine. Appends the indices of bad partials found by the
+  /// fallback scan to `cheaters` when given. Throws if fewer than t+1 valid.
   Signature combine(std::span<const uint8_t> msg,
                     std::span<const PartialSignature> parts,
                     std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (object + shared generator lines + every player's
-  /// cached VK lines): what one committee costs in a KeyCacheManager budget.
+  /// Resident footprint (object + shared generator lines + the key's lines
+  /// + every player's cached VK lines): what one committee costs in a
+  /// KeyCacheManager budget.
   size_t cache_bytes() const {
     size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
+               key_.line_bytes() +
                players_.capacity() * sizeof(RoShareVerifier);
-    for (const auto& p : players_)
-      b += p.vk_prep(0).line_bytes() + p.vk_prep(1).line_bytes();
+    for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
@@ -271,38 +238,8 @@ class RoCombiner {
   RoScheme scheme_;
   size_t n_ = 0, t_ = 0;
   G2Prepared gz_, gr_;
+  RoShareVerifier key_;  // the committee key: the verification key at index 0
   std::vector<RoShareVerifier> players_;  // index i-1 -> player i
 };
-
-/// Stateless batched partial-signature selection, shared by
-/// RoScheme::combine and AggregateScheme::combine (their Share-Verify
-/// equations are identical in shape; only the message hash differs).
-/// Candidates with out-of-range indices are dropped; the first t+1 candidates
-/// are checked with one RLC fold (coefficients from `rng`), and only on fold
-/// failure does it fall back to the sequential per-partial scan over ALL
-/// candidates, appending the indices of bad partials inspected before the
-/// threshold was reached to `cheaters`. Returns the first t+1 valid partials
-/// in input order; throws std::runtime_error if fewer remain.
-std::vector<PartialSignature> select_valid_partials(
-    const SystemParams& params, std::span<const VerificationKey> vks, size_t n,
-    size_t t, const std::array<G1Affine, 2>& h,
-    std::span<const PartialSignature> parts, Rng& rng,
-    std::vector<uint32_t>* cheaters = nullptr);
-
-/// Deterministic RLC coin derivation for combine paths without a caller
-/// RNG: seed = SHA-256(domain || msg || serialized partials). Sound in the
-/// ROM — the coefficients depend on every bit of the batch being checked,
-/// so a cheater cannot craft partials whose fold cancels without predicting
-/// the oracle (standard Fiat-Shamir argument). Shared by the Ro, Aggregate,
-/// and DLIN combine paths; `Part` only needs serialize().
-template <class Part>
-Rng transcript_rng(std::string_view domain, std::span<const uint8_t> msg,
-                   std::span<const Part> parts) {
-  Sha256 hs;
-  hs.update(domain);
-  hs.update(msg);
-  for (const auto& p : parts) hs.update(p.serialize());
-  return Rng(hs.finalize());
-}
 
 }  // namespace bnr::threshold

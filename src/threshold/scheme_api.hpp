@@ -29,10 +29,13 @@
 //    `cache_bytes` must report the full resident footprint including
 //    heap-allocated Miller-loop line tables (the KeyCacheManager evicts by
 //    byte budget; lying starves or bloats the cache).
-//  * Fold soundness for combiners: implementations must never fold partials
-//    of DIFFERENT committees into one product, and on a failed fold must
-//    fall back to per-partial verification so cheaters are attributed
-//    without rejecting honest shares.
+//  * Combine soundness: a combiner returns only a signature that passes the
+//    scheme's verification equation under the committee's public key, and
+//    when the signature interpolated from the first t+1 partials fails that
+//    check it falls back to per-partial Share-Verify, so cheaters are
+//    attributed without rejecting honest shares. The built-in combiners all
+//    run the one routine in threshold/combine.hpp; partials whose errors
+//    cancel under interpolation yield a valid signature and are not named.
 #pragma once
 
 #include <functional>
@@ -117,27 +120,33 @@ class PreparedVerifier {
   virtual size_t cache_bytes() const = 0;
 };
 
-/// Optional pool-parallel evaluator for a combiner's folded pairing product:
-/// decides prod_j e(points[j], *preps[j]) == 1. Injected by the service
-/// layer (which owns the thread pool) so scheme code never depends on it;
-/// a null evaluator means "evaluate serially".
+/// A pool-parallel evaluator of a pairing product: decides
+/// prod_j e(points[j], *preps[j]) == 1 (service::make_fold_evaluator).
+/// PreparedCombiner::combine still takes one so that its signature stays
+/// stable for wrappers, but no built-in combiner calls it: their check is a
+/// single 4-term product (two 5-term ones for DLIN), which has nothing to
+/// fan out.
 using FoldEvaluator = std::function<bool(
     std::span<const G1Affine>, std::span<const G2Prepared* const>)>;
 
-/// The cached per-committee Combine engine, type-erased: verifies t+1
-/// candidate partials (one RLC fold where the scheme supports it, with
-/// per-partial fallback identifying cheaters) and interpolates the combined
-/// signature, returned SERIALIZED — the daemon puts it straight on the wire.
+/// The cached per-committee Combine engine, type-erased: interpolates the
+/// combined signature and checks it under the committee key, scanning the
+/// partials to identify cheaters only when that check fails
+/// (threshold/combine.hpp). The signature is returned SERIALIZED — the
+/// daemon puts it straight on the wire.
 class PreparedCombiner {
  public:
   virtual ~PreparedCombiner() = default;
 
   virtual SchemeId scheme() const = 0;
 
-  /// Combines the first t+1 valid partials (input order). Handles of the
-  /// wrong scheme are invalid partials. Appends the indices of bad partials
-  /// identified along the way to `cheaters` when given. Throws
-  /// std::runtime_error if fewer than t+1 valid shares remain.
+  /// Returns the interpolation of the first t+1 partials with distinct
+  /// indices if it verifies; otherwise the interpolation of the first t+1
+  /// valid partials (input order), appending the indices of the bad
+  /// partials inspected to `cheaters` when given. Handles of the wrong
+  /// scheme and out-of-range indices are dropped. Throws std::runtime_error
+  /// if fewer than t+1 valid shares remain. `rng` and `evaluate` are there
+  /// for plugins that need them; the built-in combiners read neither.
   virtual Bytes combine(std::span<const uint8_t> msg,
                         std::span<const PartialHandle> parts, Rng& rng,
                         const FoldEvaluator& evaluate,

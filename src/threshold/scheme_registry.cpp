@@ -79,19 +79,11 @@ class RoPreparedCombiner final : public PreparedCombiner {
   SchemeId scheme() const override { return SchemeId::kRo; }
 
   Bytes combine(std::span<const uint8_t> msg,
-                std::span<const PartialHandle> parts, Rng& rng,
-                const FoldEvaluator& evaluate,
+                std::span<const PartialHandle> parts, Rng&,
+                const FoldEvaluator&,
                 std::vector<uint32_t>* cheaters) const override {
     auto typed = unerase_partials<PartialSignature>(SchemeId::kRo, parts);
-    Signature sig =
-        evaluate ? c_->combine_with(
-                       msg, typed, rng,
-                       [&](const RoCombiner::Fold& f) {
-                         return evaluate(f.points, f.preps);
-                       },
-                       cheaters)
-                 : c_->combine(msg, typed, rng, cheaters);
-    return sig.serialize();
+    return c_->combine(msg, typed, cheaters).serialize();
   }
 
   size_t cache_bytes() const override {
@@ -181,11 +173,11 @@ class DlinPreparedCombiner final : public PreparedCombiner {
   SchemeId scheme() const override { return SchemeId::kDlin; }
 
   Bytes combine(std::span<const uint8_t> msg,
-                std::span<const PartialHandle> parts, Rng& rng,
-                const FoldEvaluator&,  // no parallel fold hook on DlinCombiner
+                std::span<const PartialHandle> parts, Rng&,
+                const FoldEvaluator&,
                 std::vector<uint32_t>* cheaters) const override {
     auto typed = unerase_partials<DlinPartialSignature>(SchemeId::kDlin, parts);
-    return c_->combine(msg, typed, rng, cheaters).serialize();
+    return c_->combine(msg, typed, cheaters).serialize();
   }
 
   size_t cache_bytes() const override {
@@ -270,40 +262,32 @@ class DlinPlugin final : public Scheme {
 };
 
 // ---------------------------------------------------------------------------
-// Aggregation-enabled extension (App. G). Share-Verify matches the main
-// scheme's equation (only the hash binds the key), so the combiner reuses
-// the shared select_valid_partials fold; there is no per-committee prepared
-// state beyond the parsed material itself.
+// Aggregation-enabled extension (App. G). Its combiner holds the parsed
+// committee only and runs AggregateScheme::combine, which checks
+// unprepared; there is no per-committee prepared state.
 
 class AggPreparedCombiner final : public PreparedCombiner {
  public:
-  AggPreparedCombiner(const AggregateScheme& scheme, AggPublicKey pk,
-                      std::vector<VerificationKey> vks, size_t n, size_t t)
-      : scheme_(scheme), pk_(std::move(pk)), vks_(std::move(vks)),
-        n_(n), t_(t) {}
+  AggPreparedCombiner(const AggregateScheme& scheme, AggKeyMaterial km)
+      : scheme_(scheme), km_(std::move(km)) {}
 
   SchemeId scheme() const override { return SchemeId::kAgg; }
 
   Bytes combine(std::span<const uint8_t> msg,
-                std::span<const PartialHandle> parts, Rng& rng,
-                const FoldEvaluator&,  // stateless path: serial fold only
+                std::span<const PartialHandle> parts, Rng&,
+                const FoldEvaluator&,
                 std::vector<uint32_t>* cheaters) const override {
     auto typed = unerase_partials<PartialSignature>(SchemeId::kAgg, parts);
-    auto h = scheme_.hash_message(pk_, msg);  // H(PK || M), hashed once
-    auto valid = select_valid_partials(scheme_.params(), vks_, n_, t_, h,
-                                       typed, rng, cheaters);
-    return RoScheme(scheme_.params()).combine_unchecked(t_, valid).serialize();
+    return scheme_.combine(km_, msg, typed, cheaters).serialize();
   }
 
   size_t cache_bytes() const override {
-    return sizeof(*this) + vks_.capacity() * sizeof(VerificationKey);
+    return sizeof(*this) + km_.vks.capacity() * sizeof(VerificationKey);
   }
 
  private:
   AggregateScheme scheme_;
-  AggPublicKey pk_;
-  std::vector<VerificationKey> vks_;
-  size_t n_, t_;
+  AggKeyMaterial km_;
 };
 
 class AggPlugin final : public Scheme {
@@ -346,12 +330,14 @@ class AggPlugin final : public Scheme {
   std::unique_ptr<PreparedCombiner> make_combiner(
       const Committee& c) const override {
     check_committee_shape(c);
-    std::vector<VerificationKey> vks;
-    vks.reserve(c.vks.size());
+    AggKeyMaterial km;
+    km.n = c.n;
+    km.t = c.t;
+    km.pk = AggPublicKey::deserialize(c.pk);
+    km.vks.reserve(c.vks.size());
     for (const auto& vk : c.vks)
-      vks.push_back(VerificationKey::deserialize(vk));
-    return std::make_unique<AggPreparedCombiner>(
-        scheme_, AggPublicKey::deserialize(c.pk), std::move(vks), c.n, c.t);
+      km.vks.push_back(VerificationKey::deserialize(vk));
+    return std::make_unique<AggPreparedCombiner>(scheme_, std::move(km));
   }
 
   SchemeSample make_sample(size_t n, size_t t, std::span<const uint8_t> msg,
@@ -412,26 +398,11 @@ class BlsPreparedCombiner final : public PreparedCombiner {
 
   Bytes combine(std::span<const uint8_t> msg,
                 std::span<const PartialHandle> parts, Rng&,
-                const FoldEvaluator&,  // baseline: per-partial scan, no fold
+                const FoldEvaluator&,
                 std::vector<uint32_t>* cheaters) const override {
     auto typed = unerase_partials<BlsPartialSignature>(SchemeId::kBls, parts);
-    // Classify once to attribute cheaters (BoldyrevaBls::combine skips bad
-    // shares silently), then interpolate the classified subset directly —
-    // combine_unchecked does not re-verify what this loop just checked.
-    G1Affine neg_h = -scheme_.hash_message(msg);
-    std::vector<BlsPartialSignature> valid;
-    for (const auto& p : typed) {
-      if (valid.size() == km_.t + 1) break;
-      if (p.index < 1 || p.index > km_.n ||
-          !scheme_.share_verify(km_.vks[p.index - 1], neg_h, p)) {
-        if (cheaters) cheaters->push_back(p.index);
-        continue;
-      }
-      valid.push_back(p);
-    }
-    G1Affine sig = scheme_.combine_unchecked(km_.t, valid);  // throws if < t+1
     ByteWriter w;
-    g1_serialize(sig, w);
+    g1_serialize(scheme_.combine(km_, msg, typed, cheaters), w);
     return w.take();
   }
 

@@ -1089,6 +1089,17 @@ TEST_F(RpcDaemonTest, StatsIdentityHoldsInEverySnapshotUnderLoad) {
       ++i;
     }
   });
+  // COMBINE load alongside, so the combine counters move between polls too.
+  RpcClient combine_client("127.0.0.1", port());
+  auto parts = first_partials(km, msg);
+  std::thread combines([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::vector<std::future<CombineResult>> futs;
+      for (int j = 0; j < 4; ++j)
+        futs.push_back(combine_client.combine_raw("acme", msg, parts));
+      for (auto& f : futs) f.get();
+    }
+  });
 
   RpcClient probe("127.0.0.1", port());
   for (int poll = 0; poll < 60; ++poll) {
@@ -1103,9 +1114,14 @@ TEST_F(RpcDaemonTest, StatsIdentityHoldsInEverySnapshotUnderLoad) {
               row.verify_accepted + row.verify_rejected + row.verify_sheds +
                   row.verify_errors + row.verify_in_progress)
         << "poll " << poll;
+    uint64_t row_combines = 0;
+    for (const auto& r : st.schemes) row_combines += r.combines;
+    ASSERT_EQ(st.combines, row_combines) << "poll " << poll;
   }
   stop.store(true);
   load.join();
+  combines.join();
+  EXPECT_GT(probe.stats_sync().combines, 0u);
 
   // Drained: in_progress settles to zero and the identity still holds.
   auto st = probe.stats_sync();

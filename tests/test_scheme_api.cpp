@@ -182,6 +182,22 @@ TEST_F(SchemeApiTest, PreparedCombinerCombinesEveryScheme) {
     auto verifier = m.scheme->make_verifier(m.sample.committee.pk);
     EXPECT_TRUE(verifier->verify(kMsg, m.scheme->parse_signature(sig)));
 
+    // A resent partial ([p1, p1, p2]) is not interpolated twice: the same
+    // signature comes back and nobody is named.
+    ASSERT_EQ(parts.size(), 2u);
+    std::vector<PartialHandle> resent = {parts[0], parts[0], parts[1]};
+    EXPECT_EQ(combiner->combine(kMsg, resent, rng, nullptr, &cheaters), sig);
+    EXPECT_TRUE(cheaters.empty());
+    // A bad partial for player 1 (another committee's, on another message)
+    // ahead of the resent good one: the check fails, the scan names player
+    // 1 once and interpolates each index once.
+    std::vector<PartialHandle> bad_first = {
+        m.scheme->parse_partial(m.other_sample.partials[0]), parts[0],
+        parts[0], parts[1]};
+    EXPECT_EQ(combiner->combine(kMsg, bad_first, rng, nullptr, &cheaters),
+              sig);
+    EXPECT_EQ(cheaters, std::vector<uint32_t>({1}));
+
     // Losing a partial below t+1 must throw, not fabricate a signature.
     std::vector<PartialHandle> too_few(parts.begin(), parts.end() - 1);
     ASSERT_EQ(too_few.size(), 1u);  // t = 1 -> needs 2

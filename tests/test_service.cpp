@@ -1,6 +1,6 @@
 // The parallel verification service: work-stealing pool semantics, the
 // pool-parallel MSM / multi-pairing drivers against their serial oracles,
-// the batched-RLC Combine engines (including cheater identification matching
+// the optimistic Combine engines (including cheater identification matching
 // the sequential path), and the request-batching verification service under
 // deterministic multi-threaded load.
 #include <gtest/gtest.h>
@@ -173,25 +173,24 @@ TEST_F(CombinerFixture, CombinerMatchesSchemeCombine) {
   EXPECT_TRUE(scheme.verify(km.pk, m, a));
 }
 
-TEST_F(CombinerFixture, BatchShareVerifyAcceptsHonestRejectsTampered) {
+TEST_F(CombinerFixture, ShareVerifyAcceptsHonestRejectsTampered) {
   Bytes m = to_bytes("batch share verify");
   auto parts = partials(m, {1, 2, 3});
   RoCombiner combiner(scheme, km);
   auto h = scheme.hash_message(m);
-  Rng coins("bsv-coins");
-  EXPECT_TRUE(combiner.batch_share_verify(h, parts, coins));
   parts[2] = tamper(parts[2]);
-  EXPECT_FALSE(combiner.batch_share_verify(h, parts, coins));
-  // Individual cached verification agrees.
+  // Cached per-partial verification agrees with the stateless path.
   EXPECT_TRUE(combiner.share_verify(h, parts[0]));
   EXPECT_FALSE(combiner.share_verify(h, parts[2]));
+  EXPECT_TRUE(scheme.share_verify(km.vks[0], h, parts[0]));
+  EXPECT_FALSE(scheme.share_verify(km.vks[2], h, parts[2]));
 }
 
 TEST_F(CombinerFixture, BatchedCombineIdentifiesCheaterLikeSequentialPath) {
   // The sequential path scans in order: 1 ok, 2 BAD, 3 ok, 4 ok -> stops with
-  // {1,3,4}, having classified exactly player 2 as a cheater. The batched
-  // path must reject the fold, then report the same cheater and produce the
-  // same signature.
+  // {1,3,4}, having classified exactly player 2 as a cheater. The combiner
+  // must see the head's interpolated signature fail, then report the same
+  // cheater and produce the same signature.
   Bytes m = to_bytes("cheater identification");
   auto parts = partials(m, {1, 2, 3, 4, 5});
   parts[1] = tamper(parts[1]);
@@ -206,30 +205,60 @@ TEST_F(CombinerFixture, BatchedCombineIdentifiesCheaterLikeSequentialPath) {
 }
 
 TEST_F(CombinerFixture, CombineThrowsWhenTooManyInvalid) {
+  // Players 1 and 3 carry the same error; lambda_1 + lambda_3 = 3 + 1 != 0
+  // in the head {1, 2, 3}, so the interpolated signature fails and the scan
+  // finds only {2, 4} valid.
+  Bytes m = to_bytes("mostly bad");
+  auto parts = partials(m, {1, 2, 3, 4});
+  parts[0] = tamper(parts[0]);
+  parts[2] = tamper(parts[2]);
+  RoCombiner combiner(scheme, km);
+  std::vector<uint32_t> cheaters;
+  EXPECT_THROW(combiner.combine(m, parts, &cheaters), std::runtime_error);
+  EXPECT_EQ(cheaters, std::vector<uint32_t>({1, 3}));
+}
+
+TEST_F(CombinerFixture, CancellingTampersYieldTheHonestSignature) {
+  // Players 1 and 2 shifted by the same point in the head {1, 2, 3}:
+  // lambda_1 = 3 and lambda_2 = -3, so the errors cancel and the
+  // interpolated signature IS the honest one. Combine returns it and names
+  // nobody — on every path (cached, stateless, erased).
   Bytes m = to_bytes("mostly bad");
   auto parts = partials(m, {1, 2, 3, 4});
   parts[0] = tamper(parts[0]);
   parts[1] = tamper(parts[1]);
-  RoCombiner combiner(scheme, km);
+  const Signature honest = scheme.combine(km, m, partials(m, {1, 2, 3}));
+  EXPECT_FALSE(scheme.share_verify(km.vks[0], m, parts[0]));
+  EXPECT_FALSE(scheme.share_verify(km.vks[1], m, parts[1]));
+
+  auto combiner = std::make_shared<const RoCombiner>(scheme, km);
   std::vector<uint32_t> cheaters;
-  EXPECT_THROW(combiner.combine(m, parts, &cheaters), std::runtime_error);
-  EXPECT_EQ(cheaters, std::vector<uint32_t>({1, 2}));
+  EXPECT_EQ(combiner->combine(m, parts, &cheaters), honest);
+  EXPECT_TRUE(cheaters.empty());
+  EXPECT_EQ(scheme.combine(km, m, parts), honest);
+
+  auto erased = erase_combiner(combiner);
+  std::vector<PartialHandle> handles;
+  for (const auto& p : parts)
+    handles.push_back(erase_partial(SchemeId::kRo, p));
+  Rng coins("cancelling-tampers");
+  Bytes sig = erased->combine(m, handles, coins, {}, &cheaters);
+  EXPECT_EQ(sig, honest.serialize());
+  EXPECT_TRUE(cheaters.empty());
+  EXPECT_TRUE(scheme.verify(km.pk, m, honest));
 }
 
-TEST_F(CombinerFixture, CombineParallelMatchesSerial) {
-  ThreadPool pool(4);
+TEST_F(CombinerFixture, CombineMatchesSchemeWithAndWithoutCheater) {
   Bytes m = to_bytes("parallel combine");
   auto parts = partials(m, {2, 3, 5});
   RoCombiner combiner(scheme, km);
-  Rng coins("combine-parallel");
-  Signature sig = service::combine_parallel(combiner, pool, m, parts, coins);
+  Signature sig = combiner.combine(m, parts);
   EXPECT_EQ(sig, scheme.combine(km, m, parts));
   // And with a cheater, through the fallback path.
   auto bad = partials(m, {1, 2, 3, 4});
   bad[0] = tamper(bad[0]);
   std::vector<uint32_t> cheaters;
-  Signature sig2 =
-      service::combine_parallel(combiner, pool, m, bad, coins, &cheaters);
+  Signature sig2 = combiner.combine(m, bad, &cheaters);
   EXPECT_EQ(cheaters, std::vector<uint32_t>({1}));
   EXPECT_EQ(sig2, sig);
 }

@@ -5,7 +5,9 @@
 // every cached/parallel fast path against its uncached/serial oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
 
 #include "common/rng.hpp"
@@ -246,11 +248,65 @@ TEST_F(RoDifferentialSweep, BatchVerifyAgreesWithIndividualVerifies) {
   }
 }
 
+/// Random combine input over an (n, t) committee: a shuffled distinct signer
+/// subset of size t+2 or t+3 (capped at n), 0-2 tampers (the same partial
+/// may be hit twice), and sometimes a resent copy of one partial.
+template <class Part, class SignFn, class TamperFn>
+std::vector<Part> random_combine_input(Rng& r, size_t n, size_t t,
+                                       SignFn sign, TamperFn tamper) {
+  std::vector<uint32_t> signers;
+  for (uint32_t i = 1; i <= n; ++i) signers.push_back(i);
+  for (size_t i = signers.size(); i > 1; --i)
+    std::swap(signers[i - 1], signers[r.uniform(i)]);
+  signers.resize(std::min(n, t + 2 + r.uniform(2)));
+  std::vector<Part> parts;
+  for (uint32_t i : signers) parts.push_back(sign(i));
+  size_t bad = r.uniform(3);
+  for (size_t k = 0; k < bad; ++k) {
+    size_t idx = r.uniform(parts.size());
+    parts[idx] = tamper(parts[idx]);
+  }
+  if (r.uniform(4) == 0) {
+    Part copy = parts[r.uniform(parts.size())];
+    auto at = static_cast<ptrdiff_t>(r.uniform(parts.size() + 1));
+    parts.insert(parts.begin() + at, copy);
+  }
+  return parts;
+}
+
+/// The optimistic-combine contract as an oracle. Returns the expected
+/// signature, or nullopt when combine must throw: it succeeds iff the first
+/// t+1 partials with distinct indices interpolate to a signature that
+/// verifies, or at least t+1 distinct indices carry a partial that verifies
+/// on its own (the first t+1 such partials are then interpolated).
+template <class Part, class InterpFn, class SigOkFn, class PartOkFn>
+auto expected_combine(std::span<const Part> parts, size_t t,
+                      InterpFn interpolate, SigOkFn sig_ok, PartOkFn part_ok)
+    -> std::optional<decltype(interpolate(parts))> {
+  auto has = [](const std::vector<Part>& v, uint32_t i) {
+    for (const auto& q : v)
+      if (q.index == i) return true;
+    return false;
+  };
+  std::vector<Part> head, valid;
+  for (const auto& p : parts)
+    if (head.size() < t + 1 && !has(head, p.index)) head.push_back(p);
+  for (const auto& p : parts)
+    if (valid.size() < t + 1 && !has(valid, p.index) && part_ok(p))
+      valid.push_back(p);
+  if (head.size() == t + 1) {
+    auto sig = interpolate(std::span<const Part>(head));
+    if (sig_ok(sig)) return sig;
+  }
+  if (valid.size() == t + 1) return interpolate(std::span<const Part>(valid));
+  return std::nullopt;
+}
+
 TEST_F(RoDifferentialSweep, CachedCombineAgreesWithStatelessCombine) {
-  // 30 trials over a 5-player committee: random signer subsets, 0-2 random
-  // tampered partials. The cached RoCombiner's Fiat-Shamir fold must select
-  // the same subset and produce the same signature as the stateless
-  // RoScheme::combine — or both must throw.
+  // 30 trials over a 5-player committee: random signer subsets, random
+  // tampers, sometimes a resent partial. The cached RoCombiner and the
+  // stateless RoScheme::combine must both match the optimistic-combine
+  // oracle: the same bytes, which verify — or both must throw.
   BNR_LOG_SEED();
   Rng r = trial_rng("cached-combine");
   auto km5 = keygen(5, 2);
@@ -258,25 +314,24 @@ TEST_F(RoDifferentialSweep, CachedCombineAgreesWithStatelessCombine) {
   for (int trial = 0; trial < 30; ++trial) {
     SCOPED_TRACE(trial);
     Bytes m = r.bytes(1 + r.uniform(64));
-    // Random distinct signer subset of size 4 or 5.
-    std::vector<uint32_t> signers = {1, 2, 3, 4, 5};
-    for (size_t i = signers.size(); i > 1; --i)
-      std::swap(signers[i - 1], signers[r.uniform(i)]);
-    signers.resize(4 + r.uniform(2));
-    auto parts = partials(km5, m, signers);
-    size_t bad = r.uniform(3);
-    for (size_t k = 0; k < bad && k < parts.size(); ++k) {
-      size_t idx = r.uniform(parts.size());
-      parts[idx] = tamper(parts[idx]);
-    }
-    size_t valid = 0;
-    auto h = scheme.hash_message(m);
-    for (const auto& p : parts)
-      if (scheme.share_verify(km5.vks[p.index - 1], h, p)) ++valid;
-    if (valid >= km5.t + 1) {
+    auto parts = random_combine_input<PartialSignature>(
+        r, km5.n, km5.t,
+        [&](uint32_t i) { return scheme.share_sign(km5.shares[i - 1], m); },
+        tamper);
+    auto expect = expected_combine<PartialSignature>(
+        parts, km5.t,
+        [&](std::span<const PartialSignature> ps) {
+          return scheme.combine_unchecked(km5.t, ps);
+        },
+        [&](const Signature& s) { return scheme.verify(km5.pk, m, s); },
+        [&](const PartialSignature& p) {
+          return scheme.share_verify(km5.vks[p.index - 1], m, p);
+        });
+    if (expect) {
       Signature a = scheme.combine(km5, m, parts);
       Signature b = combiner.combine(m, parts);
-      EXPECT_EQ(a, b);
+      EXPECT_EQ(a, *expect);
+      EXPECT_EQ(b, *expect);
       EXPECT_TRUE(scheme.verify(km5.pk, m, a));
     } else {
       EXPECT_THROW(scheme.combine(km5, m, parts), std::runtime_error);
@@ -307,6 +362,52 @@ TEST_F(DlinDifferentialSweep, CachedVerifyAgreesWithSchemeVerify) {
     bool uncached = scheme.verify(km.pk, m2, s);
     EXPECT_EQ(uncached, cached.verify(m2, s)) << "mode " << mode;
     EXPECT_EQ(uncached, mode == 0);
+  }
+}
+
+TEST_F(DlinDifferentialSweep, CachedCombineAgreesWithStatelessCombine) {
+  // The DLIN twin of the RO sweep above: DlinCombiner and
+  // DlinScheme::combine against the same optimistic-combine oracle.
+  BNR_LOG_SEED();
+  Rng r = trial_rng("dlin-cached-combine");
+  auto km = keygen(5, 2);
+  DlinCombiner combiner(scheme, km);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    Bytes m = r.bytes(1 + r.uniform(64));
+    auto parts = random_combine_input<DlinPartialSignature>(
+        r, km.n, km.t,
+        [&](uint32_t i) { return scheme.share_sign(km.shares[i - 1], m); },
+        tamper);
+    auto expect = expected_combine<DlinPartialSignature>(
+        parts, km.t,
+        [&](std::span<const DlinPartialSignature> ps) {
+          // Naive Lagrange interpolation in the exponent.
+          std::vector<uint32_t> idx;
+          for (const auto& p : ps) idx.push_back(p.index);
+          auto l = lagrange_at_zero(idx);
+          G1 z, rr, u;
+          for (size_t j = 0; j < ps.size(); ++j) {
+            z = z + G1::from_affine(ps[j].z).mul(l[j]);
+            rr = rr + G1::from_affine(ps[j].r).mul(l[j]);
+            u = u + G1::from_affine(ps[j].u).mul(l[j]);
+          }
+          return DlinSignature{z.to_affine(), rr.to_affine(), u.to_affine()};
+        },
+        [&](const DlinSignature& s) { return scheme.verify(km.pk, m, s); },
+        [&](const DlinPartialSignature& p) {
+          return scheme.share_verify(km.vks[p.index - 1], m, p);
+        });
+    if (expect) {
+      DlinSignature a = scheme.combine(km, m, parts);
+      DlinSignature b = combiner.combine(m, parts);
+      EXPECT_EQ(a, *expect);
+      EXPECT_EQ(b, *expect);
+      EXPECT_TRUE(scheme.verify(km.pk, m, a));
+    } else {
+      EXPECT_THROW(scheme.combine(km, m, parts), std::runtime_error);
+      EXPECT_THROW(combiner.combine(m, parts), std::runtime_error);
+    }
   }
 }
 

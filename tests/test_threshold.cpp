@@ -84,18 +84,20 @@ TEST_F(RoFixture, CombineIsRobustToInvalidShares) {
 }
 
 TEST_F(RoFixture, CombineFailsIfTooManyInvalid) {
+  // Players 1 and 3 corrupted alike: their errors do not cancel under
+  // interpolation over {1, 2, 3} (lambda_1 + lambda_3 = 4), and only two
+  // valid shares remain.
   auto km = keygen();
   Bytes m = msg_bytes("mostly bad");
   auto parts = partials(km, m, std::vector<uint32_t>{1, 2, 3, 4});
-  for (size_t i = 0; i < 2; ++i)
+  for (size_t i : {0u, 2u})
     parts[i].z = (G1::from_affine(parts[i].z) + G1::generator()).to_affine();
   EXPECT_THROW(scheme.combine(km, m, parts), std::runtime_error);
 }
 
 TEST_F(RoFixture, BatchedCombineIsDeterministicAndMatchesCombiner) {
-  // Combine's RLC fold draws Fiat-Shamir coefficients from the transcript,
-  // so the whole operation stays deterministic — and the cached RoCombiner
-  // must agree with the stateless path bit for bit.
+  // Combine is deterministic, and the cached RoCombiner must agree with the
+  // stateless path bit for bit.
   auto km = keygen();
   Bytes m = msg_bytes("batched combine");
   auto parts = partials(km, m, std::vector<uint32_t>{1, 2, 4, 5});
@@ -256,8 +258,8 @@ TEST_F(DlinFixture, SignatureIsThreeGroupElements) {
 }
 
 TEST_F(DlinFixture, CombineIsRobustToTamperedPartial) {
-  // The batched fold must reject a poisoned batch and fall back to the
-  // per-partial scan, skipping exactly the tampered share.
+  // The interpolated signature must fail its check and the fallback
+  // per-partial scan skip exactly the tampered share.
   auto km = scheme.dist_keygen(5, 2, rng);
   Bytes m = msg_bytes("dlin robust");
   std::vector<DlinPartialSignature> parts;

@@ -35,8 +35,10 @@ EXPERIMENTS = {
            "speedup ratios are CI-gated."),
     "e11": ("Combine and service batching",
             "bench/e11_service.cpp — combine with share verification at "
-            "n=33, t=16 (per-partial vs fold vs cached vs cached+parallel) "
-            "and verification-service throughput with and without batching."),
+            "n=33, t=16 (per-partial vs stateless vs the cached serving "
+            "combiner; records before the optimistic combine timed an RLC "
+            "fold of every partial) and verification-service throughput "
+            "with and without batching."),
     "e12": ("Multi-tenant cache",
             "bench/e12_multitenant.cpp — hit rate vs throughput at "
             "1k/10k/100k Zipf(1.0) tenant keys under a byte budget, plus "
