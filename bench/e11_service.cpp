@@ -25,6 +25,7 @@
 #include "service/thread_pool.hpp"
 #include "service/verification_service.hpp"
 #include "threshold/dlin_scheme.hpp"
+#include "threshold/fold.hpp"
 #include "threshold/ro_scheme.hpp"
 
 using namespace bnr;

@@ -32,6 +32,7 @@
 #include "service/key_cache.hpp"
 #include "service/thread_pool.hpp"
 #include "service/verification_service.hpp"
+#include "threshold/fold.hpp"
 #include "threshold/ro_scheme.hpp"
 
 using namespace bnr;

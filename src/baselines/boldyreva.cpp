@@ -4,6 +4,7 @@
 
 #include "pairing/pairing.hpp"
 #include "threshold/combine.hpp"
+#include "threshold/fold.hpp"
 
 namespace bnr::baselines {
 
@@ -120,40 +121,29 @@ bool BoldyrevaBls::verify(const BlsPublicKey& pk,
 // Cached verification
 
 BlsVerifier::BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk)
-    : scheme_(scheme),
-      gen_(G2Curve::generator_affine()),
-      pk_(pk.pk) {}
+    : scheme_(scheme), pk_(pk.pk) {}
+
+std::array<PreparedTerm, 2> BlsVerifier::terms(std::span<const uint8_t> msg,
+                                               const G1Affine& sig) const {
+  return {PreparedTerm{sig, &scheme_.params().tables->g2},
+          PreparedTerm{-scheme_.hash_message(msg), &pk_}};
+}
 
 bool BlsVerifier::verify(std::span<const uint8_t> msg,
                          const G1Affine& sig) const {
-  G1Affine neg_h = -scheme_.hash_message(msg);
-  std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{sig, &gen_},
-      PreparedTerm{neg_h, &pk_},
-  };
-  return pairing_product_is_one(terms);
+  return pairing_product_is_one(terms(msg, sig));
+}
+
+void BlsVerifier::add_to_fold(threshold::FoldBuilder& fold,
+                              std::span<const uint8_t> msg,
+                              const G1Affine& sig) const {
+  fold.add({terms(msg, sig)});
 }
 
 bool BlsVerifier::batch_verify(std::span<const Bytes> msgs,
                                std::span<const G1Affine> sigs,
                                Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("bls batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j)
-    coeff[j] = threshold::random_rlc_coefficient(rng);
-
-  std::vector<G1Affine> hs;
-  for (size_t j = 0; j < n; ++j) hs.push_back(-scheme_.hash_message(msgs[j]));
-  std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{msm<G1>(sigs, coeff).to_affine(), &gen_},
-      PreparedTerm{msm<G1>(hs, coeff).to_affine(), &pk_},
-  };
-  return pairing_product_is_one(terms);
+  return threshold::fold_batch(*this, msgs, sigs, rng);
 }
 
 }  // namespace bnr::baselines

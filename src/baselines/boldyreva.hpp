@@ -10,6 +10,10 @@
 #include "pairing/pairing.hpp"
 #include "threshold/params.hpp"
 
+namespace bnr::threshold {
+class FoldBuilder;  // threshold/fold.hpp
+}  // namespace bnr::threshold
+
 namespace bnr::baselines {
 
 struct BlsPublicKey {
@@ -37,6 +41,8 @@ class BoldyrevaBls {
  public:
   explicit BoldyrevaBls(threshold::SystemParams params)
       : params_(std::move(params)) {}
+
+  const threshold::SystemParams& params() const { return params_; }
 
   /// Trusted dealer keygen.
   BlsKeyMaterial dealer_keygen(size_t n, size_t t, Rng& rng) const;
@@ -79,26 +85,31 @@ class BoldyrevaBls {
   threshold::SystemParams params_;
 };
 
-/// Cached verifier for one BLS public key: prepared lines for the fixed G2
-/// generator and for pk, so Verify pays 2 prepared Miller evaluations + one
-/// final exponentiation, and batch_verify folds N signatures into that same
-/// 2-pairing product via 128-bit random linear combination.
+/// Cached verifier for one BLS public key: prepared lines for pk, pointing
+/// at the params' shared G2-generator table, so Verify pays 2 prepared
+/// Miller evaluations + one final exponentiation, and a fold of N
+/// signatures under many keys shares one generator term.
 class BlsVerifier {
  public:
   BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk);
 
   bool verify(std::span<const uint8_t> msg, const G1Affine& sig) const;
+  /// Adds e(sigma, g2) e(-H(M), pk) == 1 to a shared fold.
+  void add_to_fold(threshold::FoldBuilder& fold, std::span<const uint8_t> msg,
+                   const G1Affine& sig) const;
   bool batch_verify(std::span<const Bytes> msgs,
                     std::span<const G1Affine> sigs, Rng& rng) const;
 
-  /// Resident footprint for the KeyCacheManager byte budget.
-  size_t cache_bytes() const {
-    return sizeof(*this) + gen_.line_bytes() + pk_.line_bytes();
-  }
+  /// Resident footprint (object + the one owned line table) for the
+  /// KeyCacheManager byte budget.
+  size_t cache_bytes() const { return sizeof(*this) + pk_.line_bytes(); }
 
  private:
-  BoldyrevaBls scheme_;
-  G2Prepared gen_, pk_;
+  std::array<PreparedTerm, 2> terms(std::span<const uint8_t> msg,
+                                    const G1Affine& sig) const;
+
+  BoldyrevaBls scheme_;  // its params own the shared generator table
+  G2Prepared pk_;
 };
 
 }  // namespace bnr::baselines

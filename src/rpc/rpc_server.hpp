@@ -5,7 +5,8 @@
 // holds the prepared state of every scheme's tenants (keys namespaced by
 // scheme name + pk digest), and ONE MultiTenantVerificationService / ONE
 // MultiTenantCombineService serve RO, DLIN, Agg, and BLS tenants through
-// the same queue and per-key folds.
+// the same queue and the same shared folds (one product per worker-sized
+// chunk of a flush, across keys and schemes).
 //
 // Threading model since PR 7 — N IO loops, M crypto workers:
 //

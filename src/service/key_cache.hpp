@@ -1,11 +1,12 @@
 // Multi-tenant key-cache manager: a sharded, thread-safe SEGMENTED LRU of
 // prepared verifier state (RoVerifier / DlinVerifier / BlsVerifier /
 // RoCombiner-style objects holding G2Prepared Miller-loop lines). Millions
-// of tenant keys do not fit the ~70KB-per-prepared-verifier budget, so the
-// serving layer keeps a bounded working set and re-prepares on miss:
+// of tenant keys do not fit at ~35KB per prepared RO verifier (its key's two
+// line tables; the generator tables are shared through SystemParams), so
+// the serving layer keeps a bounded working set and re-prepares on miss:
 //
 //  * Eviction is by BYTE budget, not entry count — prepared footprints vary
-//    by scheme (a BLS verifier is two prepared points, a DLIN verifier ten),
+//    by scheme (a BLS verifier owns one prepared point, a DLIN verifier six),
 //    and the operator provisions RAM, not entries. Each shard owns
 //    byte_budget / shards and evicts from its own LRU tails.
 //  * Admission is SEGMENTED (SLRU): a new entry lands in the PROBATION
@@ -20,7 +21,7 @@
 //    verifier can never be torn down mid-batch; a shard may therefore
 //    transiently exceed its budget when everything resident is pinned
 //    (recorded in `pinned_skips`).
-//  * The prepare callback runs OUTSIDE the shard lock — preparing four
+//  * The prepare callback runs OUTSIDE the shard lock — preparing two
 //    Miller-loop line tables takes ~0.5ms, and holding the shard lock for
 //    that long would serialize every other tenant hashing to the shard. Two
 //    threads may therefore race to prepare the same key; the loser's work is
@@ -28,7 +29,7 @@
 //    never blocks a hit.
 //  * `add_alias` maps a tenant key-id onto a CANONICAL key (e.g. a digest of
 //    the public key). Tenants sharing a public key thereby share ONE
-//    prepared entry instead of preparing ~70KB each — the dedup is counted
+//    prepared entry instead of preparing ~35KB each — the dedup is counted
 //    in `deduped`. Canonical keys must not themselves be aliases (one level
 //    of indirection; the registrar owns that invariant).
 //

@@ -1,11 +1,14 @@
 #include "service/verification_service.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "rpc/fault_injector.hpp"
 #include "service/parallel.hpp"
+#include "threshold/fold.hpp"
 
 namespace bnr::service {
 
@@ -158,8 +161,9 @@ obs::HistogramSnapshot MultiTenantVerificationService::latency() const {
 }
 
 // Moves the pending batch out, splits it into per-key groups (arrival
-// order preserved within each group), and hands each group to the pool as
-// its own fold task. Caller holds m_.
+// order preserved within each group) and packs the groups into
+// min(pool size, keys) chunk tasks, largest group first onto the least
+// loaded chunk, so a key never spans two chunks. Caller holds m_.
 void MultiTenantVerificationService::dispatch_locked(
     std::unique_lock<std::mutex>&, bool deadline) {
   std::vector<Pending> batch;
@@ -176,52 +180,39 @@ void MultiTenantVerificationService::dispatch_locked(
       groups[it->second].members.push_back(std::move(p));
     }
   }
+  std::vector<size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), size_t(0));
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return groups[a].members.size() > groups[b].members.size();
+  });
+  std::vector<std::vector<Group>> chunks(
+      std::max<size_t>(1, std::min(pool_.size(), groups.size())));
+  std::vector<size_t> load(chunks.size(), 0);
+  for (size_t g : order) {
+    const size_t c = static_cast<size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    load[c] += groups[g].members.size();
+    chunks[c].push_back(std::move(groups[g]));
+  }
 
-  for (auto& g : groups) {
-    ++total_.batches;
-    ++slice_locked(g.members.front().sig.scheme).batches;
+  for (auto& chunk : chunks) {
     if (obs::enabled())
-      for (auto& p : g.members)
-        if (p.trace) p.trace->stamp(obs::Stage::kFrozen);
-    // The group is frozen; only NOW are its fold coefficients drawable.
-    Rng group_rng = rng_.fork("batch");
+      for (auto& g : chunk)
+        for (auto& p : g.members)
+          if (p.trace) p.trace->stamp(obs::Stage::kFrozen);
+    // The chunk is frozen; only NOW are its fold coefficients drawable.
+    Rng chunk_rng = rng_.fork("batch");
     ++in_flight_;
-    auto shared = std::make_shared<Group>(std::move(g));
-    auto rng_shared = std::make_shared<Rng>(std::move(group_rng));
+    auto shared = std::make_shared<std::vector<Group>>(std::move(chunk));
+    auto rng_shared = std::make_shared<Rng>(std::move(chunk_rng));
     pool_.submit([this, shared, rng_shared] {
       try {
-        run_group(*shared, *rng_shared);
+        run_chunk(*shared, *rng_shared);
       } catch (...) {
-        // A throwing verifier/provider (or bad_alloc) must not escape the
-        // worker (std::terminate) or strand the submitters: every callback
-        // not yet invoked carries the exception instead. These completions
-        // are neither verdicts nor sheds — they are counted as `errors`
-        // (stats BEFORE callbacks, like every other outcome) so the
-        // accounting identity keeps holding after a failure.
-        std::exception_ptr err = std::current_exception();
-        uint64_t errors = 0;
-        for (auto& p : shared->members)
-          if (p.done) ++errors;
-        if (errors) {
-          const threshold::SchemeId scheme =
-              shared->members.front().sig.scheme;
-          {
-            std::lock_guard<std::mutex> l(m_);
-            ServiceStats& slice = slice_locked(scheme);
-            total_.errors += errors;
-            slice.errors += errors;
-            total_.in_progress -= errors;
-            slice.in_progress -= errors;
-          }
-          BNR_LOG(obs::LogLevel::kError, "service", "verify_group_error",
-                  obs::kv("key", shared->key) +
-                      obs::kv("members", uint64_t(errors)));
-        }
-        for (auto& p : shared->members) {
-          if (!p.done) continue;  // already answered before the throw
-          p.done(false, err);
-          p.done = nullptr;
-        }
+        // A throwing fold (or bad_alloc) must not escape the worker
+        // (std::terminate) or strand the submitters: every callback not yet
+        // invoked carries the exception instead.
+        for (auto& g : *shared) fail_group(g, std::current_exception());
       }
       std::lock_guard<std::mutex> l(m_);
       if (--in_flight_ == 0) drained_.notify_all();
@@ -229,106 +220,159 @@ void MultiTenantVerificationService::dispatch_locked(
   }
 }
 
-void MultiTenantVerificationService::run_group(Group& group, Rng& rng) {
-  const threshold::SchemeId scheme = group.members.front().sig.scheme;
+// Completes every member of `group` not yet answered with `err`. These
+// completions are neither verdicts nor sheds: they count as `errors`
+// (stats BEFORE callbacks, like every other outcome), so the accounting
+// identity keeps holding after a failure.
+void MultiTenantVerificationService::fail_group(Group& group,
+                                                std::exception_ptr err) {
+  uint64_t errors = 0;
+  {
+    std::lock_guard<std::mutex> l(m_);
+    for (auto& p : group.members) {
+      if (!p.done) continue;
+      ServiceStats& slice = slice_locked(p.sig.scheme);
+      ++total_.errors;
+      ++slice.errors;
+      --total_.in_progress;
+      --slice.in_progress;
+      ++errors;
+    }
+  }
+  if (errors)
+    BNR_LOG(obs::LogLevel::kError, "service", "verify_group_error",
+            obs::kv("key", group.key) + obs::kv("members", errors));
+  for (auto& p : group.members) {
+    if (!p.done) continue;  // already answered before the throw
+    p.done(false, err);
+    p.done = nullptr;
+  }
+}
+
+// One chunk, one product: every key's surviving members go into ONE shared
+// fold, and only a failed product pays for attribution (bisection down to
+// exact single-member checks, threshold/fold.hpp). Shedding, pinning and
+// provider errors stay per key.
+void MultiTenantVerificationService::run_chunk(std::vector<Group>& groups,
+                                               Rng& rng) {
   if (auto* f = rpc::FaultInjector::active()) f->on_task();
   // Deadline-aware shedding: members whose budget is already spent are
-  // answered with DeadlineShed NOW, before this group pays for a prepare or
-  // a pairing — under overload the batch that finally runs only carries
-  // requests that can still make their deadline.
+  // answered with DeadlineShed NOW, before their key pays for a prepare or
+  // the chunk for a pairing — under overload the product that finally runs
+  // only carries requests that can still make their deadline.
   {
-    auto now = std::chrono::steady_clock::now();
-    uint64_t sheds = 0;
-    for (auto& p : group.members) {
-      if (p.deadline > now) continue;
-      p.done(false, std::make_exception_ptr(DeadlineShed()));
-      p.done = nullptr;
-      ++sheds;
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<Pending*> shed;
+    for (auto& g : groups)
+      for (auto& p : g.members)
+        if (p.deadline <= now) shed.push_back(&p);
+    if (!shed.empty()) {
+      {
+        std::lock_guard<std::mutex> l(m_);
+        for (Pending* p : shed) {
+          ServiceStats& slice = slice_locked(p->sig.scheme);
+          ++total_.deadline_sheds;
+          ++slice.deadline_sheds;
+          --total_.in_progress;
+          --slice.in_progress;
+        }
+      }
+      for (Pending* p : shed) {
+        p->done(false, std::make_exception_ptr(DeadlineShed()));
+        p->done = nullptr;
+      }
+      for (auto& g : groups)
+        std::erase_if(g.members, [](const Pending& p) { return !p.done; });
     }
-    if (sheds) {
-      std::erase_if(group.members, [](const Pending& p) { return !p.done; });
+  }
+
+  threshold::FoldBuilder fold(rng);
+  std::vector<Pending*> members;  // fold member i answers members[i]
+  std::vector<KeyCacheManager<threshold::PreparedVerifier>::Pin> pins;
+  for (auto& g : groups) {
+    if (g.members.empty()) continue;
+    if (obs::enabled())
+      for (auto& p : g.members)
+        if (p.trace) p.trace->stamp(obs::Stage::kCryptoStart);
+    // Pinned until the verdicts are in: the cache may not evict this
+    // tenant's prepared state mid-fold. The provider only runs on a miss,
+    // which is how the per-scheme hit/miss split is observed without the
+    // cache knowing about schemes. A provider that throws fails this key
+    // only.
+    bool missed = false;
+    KeyCacheManager<threshold::PreparedVerifier>::Pin pin;
+    try {
+      pin = cache_.get_or_prepare(g.key, [&](const KeyId& canonical) {
+        missed = true;
+        return prepare_(canonical);
+      });
+    } catch (...) {
+      fail_group(g, std::current_exception());
+      continue;
+    }
+    {
       std::lock_guard<std::mutex> l(m_);
-      ServiceStats& slice = slice_locked(scheme);
-      total_.deadline_sheds += sheds;
-      slice.deadline_sheds += sheds;
-      total_.in_progress -= sheds;
-      slice.in_progress -= sheds;
+      ServiceStats& slice = slice_locked(g.members.front().sig.scheme);
+      ++total_.cache_lookups;
+      ++slice.cache_lookups;
+      if (missed) {
+        ++total_.cache_misses;
+        ++slice.cache_misses;
+      }
     }
-    if (group.members.empty()) return;
-  }
-  if (obs::enabled())
-    for (auto& p : group.members)
-      if (p.trace) p.trace->stamp(obs::Stage::kCryptoStart);
-  // Pinned for the whole fold + fallback: the cache may not evict this
-  // tenant's prepared state mid-batch, however hot the other shard traffic.
-  // The provider only runs on a miss, which is how the per-scheme cache
-  // hit/miss split is observed without the cache knowing about schemes.
-  bool missed = false;
-  auto pin = cache_.get_or_prepare(group.key, [&](const KeyId& canonical) {
-    missed = true;
-    return prepare_(canonical);
-  });
-  auto& batch = group.members;
-  std::vector<Bytes> msgs;
-  std::vector<threshold::SigHandle> sigs;
-  msgs.reserve(batch.size());
-  sigs.reserve(batch.size());
-  for (auto& p : batch) {
-    msgs.push_back(p.msg);
-    sigs.push_back(p.sig);
-  }
-  bool all_ok = pin->batch_verify(msgs, sigs, rng);
-  std::vector<bool> results(batch.size(), true);
-  uint64_t accepted = batch.size(), rejected = 0;
-  if (!all_ok) {
-    // Attribute the failure: one cached verify per member. Only THIS key's
-    // group pays — other tenants' folds are untouched.
-    accepted = 0;
-    for (size_t j = 0; j < batch.size(); ++j) {
-      results[j] = pin->verify(batch[j].msg, batch[j].sig);
-      (results[j] ? accepted : rejected)++;
+    for (auto& p : g.members) {
+      pin->add_to_fold(fold, p.msg, p.sig);
+      members.push_back(&p);
+      if (fold.size() != members.size())
+        throw std::logic_error("add_to_fold must add exactly one member");
     }
+    pins.push_back(std::move(pin));
   }
+  if (members.empty()) return;
+
+  const std::vector<bool> ok = fold.verdicts();
   {
-    // Stats are committed BEFORE the promises resolve, so a caller that
-    // observes a ready future also observes its batch in stats().
+    // Stats are committed BEFORE the callbacks run, so a caller that
+    // observes a verdict also observes its chunk in stats(). A per-scheme
+    // row counts every product that held one of its members.
     std::lock_guard<std::mutex> l(m_);
-    ServiceStats& slice = slice_locked(scheme);
-    ++total_.cache_lookups;
-    ++slice.cache_lookups;
-    if (missed) {
-      ++total_.cache_misses;
-      ++slice.cache_misses;
+    std::array<bool, threshold::kSchemeIdCount + 1> present{};
+    for (size_t j = 0; j < members.size(); ++j) {
+      const threshold::SchemeId scheme = members[j]->sig.scheme;
+      ServiceStats& slice = slice_locked(scheme);
+      (ok[j] ? total_.accepted : total_.rejected)++;
+      (ok[j] ? slice.accepted : slice.rejected)++;
+      --total_.in_progress;
+      --slice.in_progress;
+      present[scheme_stats_slot(scheme)] = true;
     }
-    if (!all_ok) {
-      ++total_.fallbacks;
-      ++slice.fallbacks;
-    }
-    total_.accepted += accepted;
-    total_.rejected += rejected;
-    slice.accepted += accepted;
-    slice.rejected += rejected;
-    total_.in_progress -= batch.size();
-    slice.in_progress -= batch.size();
+    auto count = [&](ServiceStats& s) {
+      ++s.batches;
+      if (fold.failed()) ++s.fallbacks;
+      s.subproducts += fold.subproducts();
+    };
+    count(total_);
+    for (size_t i = 0; i < present.size(); ++i)
+      if (present[i]) count(by_scheme_[i]);
   }
   if (obs::enabled()) {
     // Latency records alongside the verdict commit (also before the
     // callbacks), so histogram totals and the accepted/rejected counters
     // can never disagree for an observer.
-    auto now = std::chrono::steady_clock::now();
-    obs::Histogram& hist = latency_[scheme_stats_slot(scheme)];
-    for (auto& p : batch) {
-      if (p.trace) p.trace->stamp(obs::Stage::kCryptoDone);
-      if (p.submitted_at.time_since_epoch().count() != 0)
-        hist.record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - p.submitted_at)
-                .count()));
+    const auto now = std::chrono::steady_clock::now();
+    for (Pending* p : members) {
+      if (p->trace) p->trace->stamp(obs::Stage::kCryptoDone);
+      if (p->submitted_at.time_since_epoch().count() != 0)
+        latency_[scheme_stats_slot(p->sig.scheme)].record(
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    now - p->submitted_at)
+                    .count()));
     }
   }
-  for (size_t j = 0; j < batch.size(); ++j) {
-    batch[j].done(results[j], nullptr);
-    batch[j].done = nullptr;
+  for (size_t j = 0; j < members.size(); ++j) {
+    members[j]->done(ok[j], nullptr);
+    members[j]->done = nullptr;
   }
 }
 

@@ -2,39 +2,53 @@
 // SCHEME-AGNOSTIC: callers submit (key-id, message, erased signature
 // handle) and get a future; the service accumulates requests and flushes
 // when the batch reaches `max_batch` OR the oldest request has waited
-// `max_delay`. A flush groups the pending requests PER KEY-ID and folds
-// each group with ONE RLC pairing product — distinct keys can NEVER share a
-// fold: each tenant's verification equation uses its own prepared G2
-// inputs, and mixing tenants in one fold would let a forgery under key B
-// invalidate (or, with adversarial coefficients, be masked inside) key A's
-// batch. Only when a group's fold fails does the service re-verify that
-// group's members individually to attribute the failure — so invalid
-// submissions cost extra work but can never poison the answer for honest
-// ones, and never for other tenants.
+// `max_delay`.
 //
-// Since PR 5 there is exactly ONE service implementation for every
-// signature family: requests carry `threshold::SigHandle` (the signature
-// parsed once at the boundary) and verifiers are the type-erased
-// `threshold::PreparedVerifier` out of a single shared KeyCacheManager —
-// RO, DLIN, Agg, and BLS tenants all flow through the same queue, the same
-// per-key fold grouping, and the same cache, with per-SchemeId stats split
-// out for observability. The pre-PR-5 per-scheme templated services (and
-// their deprecated single-tenant shims) are gone; construct a provider over
-// `Scheme::make_verifier` instead.
+// A flush groups the pending requests PER KEY-ID and packs the groups into
+// min(pool size, keys in the flush) CHUNK tasks, balanced by member count;
+// a key never spans two chunks. Each chunk evaluates ONE shared
+// random-linear-combination pairing product over the members of every key
+// in it (threshold/fold.hpp): the generator tables every key pairs against
+// are shared through SystemParams, so a chunk pays one final
+// exponentiation and one Miller term per distinct table, not one product
+// per key. The small-exponents test is sound over any set of
+// pairing-product equations, whatever keys they are under; what the service
+// guarantees on top is:
+//
+//  * One pinned coefficient per product. The fold pins its first member's
+//    first equation to 1 and draws every other coefficient fresh. (Pinning
+//    one per key would let z_A + X under key A and z_B - X under key B
+//    cancel on the shared g^_z table.)
+//  * Exact verdicts. Only a failed product pays for attribution: it is
+//    bisected down to exact single-member checks, and only such a check
+//    rejects, so a forgery under key B never changes key A's verdicts.
+//  * Cost isolation. With d invalid members among N in a chunk,
+//    attribution evaluates at most 2d*ceil(log2 N) sub-products
+//    (ServiceStats::subproducts), and every member is hashed once.
+//  * Per-key failure. Deadline shedding, cache pinning and provider errors
+//    stay per key: a provider that throws fails only its key's members.
+//
+// There is exactly ONE service implementation for every signature family:
+// requests carry `threshold::SigHandle` (the signature parsed once at the
+// boundary) and verifiers are the type-erased `threshold::PreparedVerifier`
+// out of a single shared KeyCacheManager — RO, DLIN, Agg, and BLS tenants
+// all flow through the same queue, the same chunks, and the same cache,
+// with per-SchemeId stats split out for observability. Construct a
+// provider over `Scheme::make_verifier`.
 //
 // Verifiers are not owned by the service: they are pinned out of the shared
-// `KeyCacheManager` for the duration of each group's fold (prepared state
-// for millions of tenant keys does not fit in RAM; see key_cache.hpp), and
+// `KeyCacheManager` until their chunk's verdicts are in (prepared state for
+// millions of tenant keys does not fit in RAM; see key_cache.hpp), and
 // prepared on miss via a caller-supplied provider.
 //
-// Soundness under concurrency: each group draws its RLC coefficients from a
-// private Rng forked per flush AFTER the batch contents are frozen (the
-// pending vector is moved out under the lock before coefficients exist), so
-// no submitter can adapt its signature to the coefficients that will fold
-// it. The master Rng is seeded from OS entropy (the label is only mixed in
-// as a fork domain) — a deterministic, label-only seed would let an
-// adversary precompute every batch's coefficients and submit invalid
-// signatures whose RLC error terms cancel, defeating the fold.
+// Soundness under concurrency: each chunk draws its RLC coefficients from a
+// private Rng forked AFTER the flush is frozen (the pending vector is moved
+// out under the lock before coefficients exist), so no submitter can adapt
+// its signature to the coefficients that will fold it. The master Rng is
+// seeded from OS entropy (the label is only mixed in as a fork domain) — a
+// deterministic, label-only seed would let an adversary precompute every
+// product's coefficients and submit invalid signatures whose RLC error
+// terms cancel, defeating the fold.
 #pragma once
 
 #include <chrono>
@@ -73,7 +87,7 @@ struct BatchPolicy {
 };
 
 /// Raised through a submission's callback when its deadline budget was
-/// already spent before the group's fold ran: the request was SHED, not
+/// already spent before its chunk's product ran: the request was SHED, not
 /// verified. Distinct from RpcError/ProtocolError so the RPC layer can map
 /// it onto the wire's SHED status (attributable, not retryable).
 struct DeadlineShed : std::runtime_error {
@@ -83,12 +97,16 @@ struct DeadlineShed : std::runtime_error {
 
 struct ServiceStats {
   uint64_t submitted = 0;
-  uint64_t batches = 0;          // batch_verify folds executed (one per key
-                                 // group per flush — never across keys)
+  uint64_t batches = 0;          // chunk products evaluated (one per chunk
+                                 // task: up to pool-size per flush, each
+                                 // over one or more keys' members)
   uint64_t size_flushes = 0;     // flushes triggered by max_batch
   uint64_t deadline_flushes = 0; // flushes triggered by max_delay
   uint64_t idle_flushes = 0;     // adaptive flushes (pool went idle)
-  uint64_t fallbacks = 0;        // folds that failed -> individual re-verify
+  uint64_t fallbacks = 0;        // chunk products that failed -> bisection
+  uint64_t subproducts = 0;      // products attribution evaluated after a
+                                 // failed chunk product (<= 2d*ceil(log2 N)
+                                 // each, d invalid of N members)
   uint64_t accepted = 0;
   uint64_t rejected = 0;
   uint64_t deadline_sheds = 0;   // expired members dropped before their fold
@@ -108,9 +126,10 @@ struct ServiceStats {
 };
 
 /// ONE non-templated verification service for every signature family: the
-/// erased `PreparedVerifier` carries the scheme-specific fold, the SigHandle
-/// carries the parsed signature, and the cache key (namespaced by scheme
-/// name + pk digest) keeps tenants of different schemes apart.
+/// erased `PreparedVerifier` adds the scheme-specific equations to the
+/// shared fold, the SigHandle carries the parsed signature, and the cache
+/// key (namespaced by scheme name + pk digest) keeps tenants of different
+/// schemes apart.
 class MultiTenantVerificationService {
  public:
   using KeyId = std::string;
@@ -119,7 +138,8 @@ class MultiTenantVerificationService {
   /// key, e.g. "<scheme>:<pk digest>" when the registrar aliased tenants by
   /// public key — so what it derives the verifier from is keyed by what the
   /// cache stores it under, and a concurrent re-registration cannot poison
-  /// the entry. Throwing rejects every request of that key's group.
+  /// the entry. Throwing fails every request of that key in the flush, and
+  /// only those: the other keys of its chunk still get verdicts.
   using VerifierProvider = std::function<
       std::shared_ptr<const threshold::PreparedVerifier>(const KeyId&)>;
 
@@ -136,7 +156,7 @@ class MultiTenantVerificationService {
       VerifierProvider prepare, BatchPolicy policy, ThreadPool& pool,
       std::string_view rng_label = "multi-tenant-verification");
 
-  /// Flushes whatever is pending, waits for in-flight groups, stops.
+  /// Flushes whatever is pending, waits for in-flight chunks, stops.
   ~MultiTenantVerificationService();
 
   MultiTenantVerificationService(const MultiTenantVerificationService&) =
@@ -145,8 +165,8 @@ class MultiTenantVerificationService {
       const MultiTenantVerificationService&) = delete;
 
   /// `deadline` is the request's drop-dead time: a member whose deadline has
-  /// passed when its group's fold task starts is SHED — completed with
-  /// DeadlineShed BEFORE the group pays for a prepare or a pairing, so under
+  /// passed when its chunk task starts is SHED — completed with
+  /// DeadlineShed BEFORE its key pays for a prepare or a pairing, so under
   /// overload the pool's capacity goes to requests that can still make their
   /// budget. time_point::max() (the default) never sheds.
   void submit(KeyId key, Bytes msg, threshold::SigHandle sig, Callback done,
@@ -157,13 +177,13 @@ class MultiTenantVerificationService {
   /// Future-based front over the callback core.
   std::future<bool> submit(KeyId key, Bytes msg, threshold::SigHandle sig);
 
-  /// Forces whatever is pending out as one flush (one fold per key).
+  /// Forces whatever is pending out as one flush (one product per chunk).
   void flush();
 
   /// Blocks until no request is pending or in flight.
   void drain();
 
-  /// Requests accumulated but not yet dispatched into folds (the HEALTH
+  /// Requests accumulated but not yet dispatched into chunks (the HEALTH
   /// queue-depth counter).
   size_t pending() const {
     std::lock_guard<std::mutex> l(m_);
@@ -172,8 +192,9 @@ class MultiTenantVerificationService {
 
   /// Aggregate across every scheme.
   ServiceStats stats() const;
-  /// The per-scheme slice (requests, folds, fallbacks, verdicts, cache
-  /// lookups/misses attributed to that scheme's groups).
+  /// The per-scheme slice (requests, verdicts, cache lookups/misses of that
+  /// scheme's members and keys; the chunk products, fallbacks and
+  /// sub-products that held one of its members).
   ServiceStats stats(threshold::SchemeId id) const;
 
   /// The aggregate AND every per-scheme slice captured under ONE lock
@@ -205,15 +226,17 @@ class MultiTenantVerificationService {
     std::shared_ptr<obs::RequestTrace> trace;  // null unless obs::enabled()
   };
 
-  /// One per-tenant fold unit: requests sharing a key-id, plus the private
-  /// RNG its RLC coefficients are drawn from.
+  /// The requests of one key-id in a flush: the unit of pinning, shedding
+  /// and provider errors. A chunk task folds several groups into one
+  /// product.
   struct Group {
     KeyId key;
     std::vector<Pending> members;
   };
 
   void dispatch_locked(std::unique_lock<std::mutex>&, bool deadline);
-  void run_group(Group& group, Rng& rng);
+  void run_chunk(std::vector<Group>& groups, Rng& rng);
+  void fail_group(Group& group, std::exception_ptr err);
   void flusher_loop();
   ServiceStats& slice_locked(threshold::SchemeId id);
 
@@ -221,7 +244,7 @@ class MultiTenantVerificationService {
   VerifierProvider prepare_;
   BatchPolicy policy_;
   ThreadPool& pool_;
-  Rng rng_;  // master; forked per group (guarded by m_)
+  Rng rng_;  // master; forked per chunk (guarded by m_)
 
   mutable std::mutex m_;
   std::condition_variable cv_;        // flusher wake-ups

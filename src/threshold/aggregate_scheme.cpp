@@ -6,6 +6,7 @@
 #include "common/serde.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/combine.hpp"
+#include "threshold/fold.hpp"
 
 namespace bnr::threshold {
 
@@ -251,50 +252,31 @@ AggVerifier::AggVerifier(const AggregateScheme& scheme, const AggPublicKey& pk)
     : scheme_(scheme),
       pk_(pk),
       key_valid_(scheme.key_sanity_check(pk)),
-      prep_{G2Prepared(scheme.params().g_z), G2Prepared(scheme.params().g_r),
-            G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+      key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+
+std::array<PreparedTerm, 4> AggVerifier::terms(
+    const std::array<G1Affine, 2>& h, const Signature& sig) const {
+  const GeneratorTables& gen = *scheme_.params().tables;
+  return {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r},
+          PreparedTerm{h[0], &key_[0]}, PreparedTerm{h[1], &key_[1]}};
+}
 
 bool AggVerifier::verify(std::span<const uint8_t> msg,
                          const Signature& sig) const {
   if (!key_valid_) return false;
-  auto h = scheme_.hash_message(pk_, msg);
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, &prep_[0]},
-      PreparedTerm{sig.r, &prep_[1]},
-      PreparedTerm{h[0], &prep_[2]},
-      PreparedTerm{h[1], &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  return pairing_product_is_one(terms(scheme_.hash_message(pk_, msg), sig));
+}
+
+void AggVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                              const Signature& sig) const {
+  if (!key_valid_) return fold.add_rejected();
+  fold.add({terms(scheme_.hash_message(pk_, msg), sig)});
 }
 
 bool AggVerifier::batch_verify(std::span<const Bytes> msgs,
                                std::span<const Signature> sigs,
                                Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("agg batch_verify: size mismatch");
-  if (!key_valid_) return false;
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-
-  std::vector<G1Affine> zs, rs, h1s, h2s;
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(pk_, msgs[j]);
-    zs.push_back(sigs[j].z);
-    rs.push_back(sigs[j].r);
-    h1s.push_back(h[0]);
-    h2s.push_back(h[1]);
-  }
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},
-      PreparedTerm{msm<G1>(rs, coeff).to_affine(), &prep_[1]},
-      PreparedTerm{msm<G1>(h1s, coeff).to_affine(), &prep_[2]},
-      PreparedTerm{msm<G1>(h2s, coeff).to_affine(), &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  return key_valid_ && fold_batch(*this, msgs, sigs, rng);
 }
 
 }  // namespace bnr::threshold

@@ -100,9 +100,10 @@ class AggregateScheme {
   SystemParams params_;
 };
 
-/// Cached verifier for one aggregation-enabled key: prepares the four fixed
-/// G2 inputs once AND runs the key-validity sanity check (itself a product
-/// of four pairings) a single time at construction instead of per verify.
+/// Cached verifier for one aggregation-enabled key: prepares the key's two
+/// G2 elements once (pointing at the params' shared g^_z/g^_r tables) AND
+/// runs the key-validity sanity check (itself a product of four pairings) a
+/// single time at construction instead of per verify.
 class AggVerifier {
  public:
   AggVerifier(const AggregateScheme& scheme, const AggPublicKey& pk);
@@ -112,21 +113,27 @@ class AggVerifier {
   bool key_valid() const { return key_valid_; }
 
   bool verify(std::span<const uint8_t> msg, const Signature& sig) const;
+  /// Adds the RO-shaped equation under H(PK || M); under an invalid key the
+  /// member fails outright.
+  void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                   const Signature& sig) const;
   bool batch_verify(std::span<const Bytes> msgs,
                     std::span<const Signature> sigs, Rng& rng) const;
 
-  /// Resident footprint for the KeyCacheManager byte budget.
+  /// Resident footprint (object + the two owned line tables) for the
+  /// KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this);
-    for (const auto& p : prep_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
   }
 
  private:
-  AggregateScheme scheme_;
+  std::array<PreparedTerm, 4> terms(const std::array<G1Affine, 2>& h,
+                                    const Signature& sig) const;
+
+  AggregateScheme scheme_;  // its params own the shared g^_z/g^_r tables
   AggPublicKey pk_;
   bool key_valid_ = false;
-  std::array<G2Prepared, 4> prep_;  // g^_z, g^_r, g^_1, g^_2
+  std::array<G2Prepared, 2> key_;  // g^_1, g^_2
 };
 
 }  // namespace bnr::threshold

@@ -6,6 +6,7 @@
 #include "common/serde.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/combine.hpp"
+#include "threshold/fold.hpp"
 
 namespace bnr::threshold {
 
@@ -248,63 +249,38 @@ bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
 
 DlinVerifier::DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk)
     : scheme_(scheme),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r),
-      hz_(scheme.params().h_z),
-      hu_(scheme.params().h_u),
       g_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1]), G2Prepared(pk.g[2])},
       h_{G2Prepared(pk.h[0]), G2Prepared(pk.h[1]), G2Prepared(pk.h[2])} {}
 
+DlinVerifier::Equations DlinVerifier::equations(
+    const std::array<G1Affine, 3>& h, const DlinSignature& sig) const {
+  const GeneratorTables& gen = *scheme_.params().tables;
+  Equations eq;
+  eq[0] = {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r}};
+  eq[1] = {PreparedTerm{sig.z, &gen.h_z}, PreparedTerm{sig.u, &gen.h_u}};
+  for (size_t k = 0; k < 3; ++k) {
+    eq[0][2 + k] = {h[k], &g_[k]};
+    eq[1][2 + k] = {h[k], &h_[k]};
+  }
+  return eq;
+}
+
 bool DlinVerifier::verify(std::span<const uint8_t> msg,
                           const DlinSignature& sig) const {
-  auto h = scheme_.hash_message(msg);
-  std::vector<PreparedTerm> eq1 = {{sig.z, &gz_}, {sig.r, &gr_}};
-  std::vector<PreparedTerm> eq2 = {{sig.z, &hz_}, {sig.u, &hu_}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], &g_[k]});
-    eq2.push_back({h[k], &h_[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
+  const Equations eq = equations(scheme_.hash_message(msg), sig);
+  return pairing_product_is_one(eq[0]) && pairing_product_is_one(eq[1]);
+}
+
+void DlinVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                               const DlinSignature& sig) const {
+  const Equations eq = equations(scheme_.hash_message(msg), sig);
+  fold.add({eq[0], eq[1]});
 }
 
 bool DlinVerifier::batch_verify(std::span<const Bytes> msgs,
                                 std::span<const DlinSignature> sigs,
                                 Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("dlin batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  // Independent coefficients for the two equations of each signature. The
-  // fold is sound as long as every coefficient after the pinned first one
-  // is nonzero and sampled after the batch is fixed (pinning one
-  // coefficient to 1 is the standard safe optimization).
-  std::vector<Fr> e1(n), e2(n);
-  for (size_t j = 0; j < n; ++j) {
-    e1[j] = j == 0 ? Fr::one() : random_rlc_coefficient(rng);
-    e2[j] = random_rlc_coefficient(rng);
-  }
-
-  std::vector<G1Affine> zs, rs, us;
-  std::array<std::vector<G1Affine>, 3> hs;
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(sigs[j].z);
-    rs.push_back(sigs[j].r);
-    us.push_back(sigs[j].u);
-    for (size_t k = 0; k < 3; ++k) hs[k].push_back(h[k]);
-  }
-  std::vector<PreparedTerm> terms = {
-      {msm<G1>(zs, e1).to_affine(), &gz_},
-      {msm<G1>(rs, e1).to_affine(), &gr_},
-      {msm<G1>(zs, e2).to_affine(), &hz_},
-      {msm<G1>(us, e2).to_affine(), &hu_},
-  };
-  for (size_t k = 0; k < 3; ++k) {
-    terms.push_back({msm<G1>(hs[k], e1).to_affine(), &g_[k]});
-    terms.push_back({msm<G1>(hs[k], e2).to_affine(), &h_[k]});
-  }
-  return pairing_product_is_one(terms);
+  return fold_batch(*this, msgs, sigs, rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,14 +314,13 @@ DlinCombiner::DlinCombiner(const DlinScheme& scheme,
     : scheme_(scheme),
       n_(km.n),
       t_(km.t),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r),
-      hz_(scheme.params().h_z),
-      hu_(scheme.params().h_u),
-      key_(&gz_, &gr_, &hz_, &hu_, DlinVerificationKey{km.pk.g, km.pk.h}) {
+      key_(&scheme_.params().tables->g_z, &scheme_.params().tables->g_r,
+           &scheme_.params().tables->h_z, &scheme_.params().tables->h_u,
+           DlinVerificationKey{km.pk.g, km.pk.h}) {
+  const GeneratorTables& gen = *scheme_.params().tables;
   players_.reserve(km.n);
   for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gz_, &gr_, &hz_, &hu_, km.vks[i]);
+    players_.emplace_back(&gen.g_z, &gen.g_r, &gen.h_z, &gen.h_u, km.vks[i]);
 }
 
 bool DlinCombiner::share_verify(const std::array<G1Affine, 3>& h,

@@ -107,37 +107,42 @@ class DlinScheme {
   SystemParams params_;
 };
 
-/// Cached verifier for the DLIN variant: prepares all ten fixed G2 inputs
-/// (g^_z, g^_r, h^_z, h^_u and the six key elements) once. `batch_verify`
-/// folds BOTH verification equations of every signature into a single
-/// 10-pairing product with independent 128-bit RLC coefficients per
-/// (signature, equation) pair.
+class FoldBuilder;  // threshold/fold.hpp
+
+/// Cached verifier for the DLIN variant: prepares the six key elements
+/// once and points at the params' shared g^_z, g^_r, h^_z, h^_u tables. In
+/// a fold, each signature adds BOTH verification equations, each with its
+/// own 128-bit coefficient.
 class DlinVerifier {
  public:
   DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk);
 
   bool verify(std::span<const uint8_t> msg, const DlinSignature& sig) const;
+  void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                   const DlinSignature& sig) const;
   bool batch_verify(std::span<const Bytes> msgs,
                     std::span<const DlinSignature> sigs, Rng& rng) const;
 
-  /// Resident footprint (object + the ten cached line tables) for the
+  /// Resident footprint (object + the six owned line tables) for the
   /// KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               hz_.line_bytes() + hu_.line_bytes();
+    size_t b = sizeof(*this);
     for (size_t k = 0; k < 3; ++k) b += g_[k].line_bytes() + h_[k].line_bytes();
     return b;
   }
 
  private:
-  DlinScheme scheme_;
-  G2Prepared gz_, gr_, hz_, hu_;
+  using Equations = std::array<std::array<PreparedTerm, 5>, 2>;
+  Equations equations(const std::array<G1Affine, 3>& h,
+                      const DlinSignature& sig) const;
+
+  DlinScheme scheme_;  // its params own the shared generator tables
   std::array<G2Prepared, 3> g_, h_;
 };
 
 /// Per-player cached share verifier for the DLIN variant: prepared lines of
 /// the six per-player key elements (U^_{k,i}, Z^_{k,i}); the four shared
-/// generators are non-owning pointers kept alive by the DlinCombiner.
+/// generators are non-owning pointers into the params' GeneratorTables.
 class DlinShareVerifier {
  public:
   DlinShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
@@ -147,8 +152,8 @@ class DlinShareVerifier {
   bool verify(const std::array<G1Affine, 3>& h,
               const DlinPartialSignature& sig) const;
 
-  /// Heap bytes of the six owned line tables (the shared generators are
-  /// counted once by the enclosing combiner).
+  /// Heap bytes of the six owned line tables (the shared generator tables
+  /// belong to the params).
   size_t line_bytes() const {
     size_t b = 0;
     for (size_t k = 0; k < 3; ++k)
@@ -165,12 +170,12 @@ class DlinShareVerifier {
 };
 
 /// Serving-side Combine engine for a DLIN committee: caches the prepared
-/// lines of the four generators, the six committee-key elements and every
-/// player's six key elements. combine() interpolates first and checks the
-/// one combined signature against the key, two 5-term prepared products at
-/// any t, and runs cached per-partial Share-Verify only when that check
-/// fails, to name cheaters (threshold/combine.hpp). Not movable: the key
-/// and per-player verifiers point at the shared generator preparations.
+/// lines of the six committee-key elements and every player's six key
+/// elements, and points at the params' shared generator tables. combine()
+/// interpolates first and checks the one combined signature against the
+/// key, two 5-term prepared products at any t, and runs cached per-partial
+/// Share-Verify only when that check fails, to name cheaters
+/// (threshold/combine.hpp).
 class DlinCombiner {
  public:
   DlinCombiner(const DlinScheme& scheme, const DlinKeyMaterial& km);
@@ -191,21 +196,18 @@ class DlinCombiner {
                         std::span<const DlinPartialSignature> parts,
                         std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (shared generator lines + the key's six lines +
-  /// every player's six cached key-element lines) for the KeyCacheManager
-  /// byte budget.
+  /// Resident footprint (the key's six lines + every player's six cached
+  /// key-element lines) for the KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               hz_.line_bytes() + hu_.line_bytes() + key_.line_bytes() +
+    size_t b = sizeof(*this) + key_.line_bytes() +
                players_.capacity() * sizeof(DlinShareVerifier);
     for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
  private:
-  DlinScheme scheme_;
+  DlinScheme scheme_;  // its params own the shared generator tables
   size_t n_ = 0, t_ = 0;
-  G2Prepared gz_, gr_, hz_, hu_;
   DlinShareVerifier key_;  // the committee key: the verification key at 0
   std::vector<DlinShareVerifier> players_;
 };

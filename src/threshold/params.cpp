@@ -20,6 +20,9 @@ SystemParams SystemParams::derive(std::string_view label) {
   p.h_u = hash_to_g2(p.hash_dst("gen"), "h_u");
   p.g1_g = hash_to_g1(p.hash_dst("gen"), "g");
   p.g1_h = hash_to_g1(p.hash_dst("gen"), "h");
+  p.tables = std::make_shared<const GeneratorTables>(GeneratorTables{
+      G2Prepared(p.g_z), G2Prepared(p.g_r), G2Prepared(p.h_z),
+      G2Prepared(p.h_u), G2Prepared(G2Curve::generator_affine())});
   return p;
 }
 

@@ -4,11 +4,25 @@
 // plus the message hash H : {0,1}* -> G x G.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "curve/hash_to_curve.hpp"
+#include "pairing/pairing.hpp"
 
 namespace bnr::threshold {
+
+/// Prepared Miller-loop lines of the public G2 generators that every key's
+/// verification equation pairs against: g^_z and g^_r (RO, Agg, DLIN),
+/// h^_z and h^_u (DLIN) and the G2 generator (Boldyreva BLS). Prepared once
+/// per derive() and shared by pointer with every scheme, verifier and
+/// combiner built from those params, so a cached key owns only the tables
+/// of its own key elements, and a shared fold (threshold/fold.hpp) sees one
+/// table identity per generator across all keys.
+struct GeneratorTables {
+  G2Prepared g_z, g_r, h_z, h_u;
+  G2Prepared g2;  // G2Curve::generator_affine()
+};
 
 struct SystemParams {
   std::string label;  // domain separation for all oracles
@@ -17,8 +31,11 @@ struct SystemParams {
   G2Affine h_z, h_u;
   // App. G aggregation uses two extra G1 generators (g, h).
   G1Affine g1_g, g1_h;
+  // Prepared lines of the G2 generators above; copies share them.
+  std::shared_ptr<const GeneratorTables> tables;
 
-  /// Derives all generators from hash oracles keyed by `label`.
+  /// Derives all generators from hash oracles keyed by `label` and
+  /// prepares their tables.
   static SystemParams derive(std::string_view label);
 
   std::string hash_dst(std::string_view role) const {

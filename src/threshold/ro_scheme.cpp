@@ -6,6 +6,7 @@
 #include "common/serde.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/combine.hpp"
+#include "threshold/fold.hpp"
 
 namespace bnr::threshold {
 
@@ -267,53 +268,29 @@ void RoScheme::refresh(KeyMaterial& km, Rng& rng,
 // Cached verification
 
 RoVerifier::RoVerifier(const RoScheme& scheme, const PublicKey& pk)
-    : scheme_(scheme),
-      prep_{G2Prepared(scheme.params().g_z), G2Prepared(scheme.params().g_r),
-            G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+    : scheme_(scheme), key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+
+std::array<PreparedTerm, 4> RoVerifier::terms(const std::array<G1Affine, 2>& h,
+                                              const Signature& sig) const {
+  const GeneratorTables& gen = *scheme_.params().tables;
+  return {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r},
+          PreparedTerm{h[0], &key_[0]}, PreparedTerm{h[1], &key_[1]}};
+}
 
 bool RoVerifier::verify(std::span<const uint8_t> msg,
                         const Signature& sig) const {
-  auto h = scheme_.hash_message(msg);
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, &prep_[0]},
-      PreparedTerm{sig.r, &prep_[1]},
-      PreparedTerm{h[0], &prep_[2]},
-      PreparedTerm{h[1], &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  return pairing_product_is_one(terms(scheme_.hash_message(msg), sig));
+}
+
+void RoVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                             const Signature& sig) const {
+  fold.add({terms(scheme_.hash_message(msg), sig)});
 }
 
 bool RoVerifier::batch_verify(std::span<const Bytes> msgs,
                               std::span<const Signature> sigs,
                               Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();  // the first coefficient may be fixed
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-
-  std::vector<G1Affine> zs, rs, h1s, h2s;
-  zs.reserve(n);
-  rs.reserve(n);
-  h1s.reserve(n);
-  h2s.reserve(n);
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(sigs[j].z);
-    rs.push_back(sigs[j].r);
-    h1s.push_back(h[0]);
-    h2s.push_back(h[1]);
-  }
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},
-      PreparedTerm{msm<G1>(rs, coeff).to_affine(), &prep_[1]},
-      PreparedTerm{msm<G1>(h1s, coeff).to_affine(), &prep_[2]},
-      PreparedTerm{msm<G1>(h2s, coeff).to_affine(), &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  return fold_batch(*this, msgs, sigs, rng);
 }
 
 RoShareVerifier::RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
@@ -335,12 +312,12 @@ RoCombiner::RoCombiner(const RoScheme& scheme, const KeyMaterial& km)
     : scheme_(scheme),
       n_(km.n),
       t_(km.t),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r),
-      key_(&gz_, &gr_, VerificationKey{km.pk.g}) {
+      key_(&scheme_.params().tables->g_z, &scheme_.params().tables->g_r,
+           VerificationKey{km.pk.g}) {
+  const GeneratorTables& gen = *scheme_.params().tables;
   players_.reserve(km.n);
   for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gz_, &gr_, km.vks[i]);
+    players_.emplace_back(&gen.g_z, &gen.g_r, km.vks[i]);
 }
 
 bool RoCombiner::share_verify(const std::array<G1Affine, 2>& h,

@@ -133,43 +133,50 @@ class RoScheme {
   SystemParams params_;
 };
 
+class FoldBuilder;  // threshold/fold.hpp
+
 /// Cached verifier for one public key: holds the prepared Miller-loop line
-/// coefficients of the four fixed G2 inputs (g^_z, g^_r, g^_1, g^_2), so each
-/// Verify pays only line evaluations plus the shared final exponentiation.
-/// This is the hot-path object a serving deployment keeps per tenant key.
+/// coefficients of the key's two G2 elements (g^_1, g^_2) and points at the
+/// params' shared g^_z/g^_r tables, so each Verify pays only line
+/// evaluations plus the shared final exponentiation. This is the hot-path
+/// object a serving deployment keeps per tenant key.
 class RoVerifier {
  public:
   RoVerifier(const RoScheme& scheme, const PublicKey& pk);
 
   bool verify(std::span<const uint8_t> msg, const Signature& sig) const;
 
-  /// Folds many (message, signature) pairs into ONE product of four pairings
-  /// via a random linear combination with 128-bit coefficients: for random
-  /// nonzero e_j, checks
-  ///   e(sum e_j z_j, g^_z) e(sum e_j r_j, g^_r)
-  ///     e(sum e_j H1_j, g^_1) e(sum e_j H2_j, g^_2) == 1.
-  /// A batch containing any invalid signature passes with probability at
-  /// most ~N/2^128. The four sums are Pippenger MSMs with short scalars.
+  /// Adds e(z, g^_z) e(r, g^_r) e(H_1, g^_1) e(H_2, g^_2) == 1 to a shared
+  /// fold (threshold/fold.hpp); the g^_z/g^_r terms of every key under the
+  /// same params land on the same two tables.
+  void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                   const Signature& sig) const;
+
+  /// Folds many (message, signature) pairs into ONE product of four
+  /// pairings with 128-bit random coefficients: a batch containing any
+  /// invalid signature passes with probability at most ~N/2^128.
   bool batch_verify(std::span<const Bytes> msgs,
                     std::span<const Signature> sigs, Rng& rng) const;
 
-  /// Resident footprint (object + the four cached line tables): what one
+  /// Resident footprint (object + the two owned line tables): what one
   /// tenant key costs inside a KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this);
-    for (const auto& p : prep_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
   }
 
  private:
-  RoScheme scheme_;
-  std::array<G2Prepared, 4> prep_;  // g^_z, g^_r, g^_1, g^_2
+  std::array<PreparedTerm, 4> terms(const std::array<G1Affine, 2>& h,
+                                    const Signature& sig) const;
+
+  RoScheme scheme_;  // its params own the shared g^_z/g^_r tables
+  std::array<G2Prepared, 2> key_;  // g^_1, g^_2
 };
 
 /// Per-player cached share verifier: the prepared Miller-loop lines of one
 /// player's verification key (V^_{1,i}, V^_{2,i}). The g^_z/g^_r lines are
-/// identical for every player, so they are shared (non-owning pointers; the
-/// enclosing RoCombiner keeps them alive).
+/// identical for every player, so they are shared (non-owning pointers into
+/// the params' GeneratorTables, which the enclosing combiner's scheme keeps
+/// alive).
 class RoShareVerifier {
  public:
   RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
@@ -180,8 +187,8 @@ class RoShareVerifier {
   bool verify(const std::array<G1Affine, 2>& h,
               const PartialSignature& sig) const;
 
-  /// Heap bytes of the two owned line tables (the shared ones are counted
-  /// once by the enclosing combiner).
+  /// Heap bytes of the two owned line tables (the shared generator tables
+  /// belong to the params).
   size_t line_bytes() const {
     return vk_[0].line_bytes() + vk_[1].line_bytes();
   }
@@ -193,13 +200,13 @@ class RoShareVerifier {
 };
 
 /// Serving-side Combine engine for one committee: caches the prepared lines
-/// of g^_z, g^_r, the committee key (g^_1, g^_2) and EVERY player's
-/// verification key. combine() interpolates first and checks the one
-/// combined signature against the key, a 4-term prepared product at any t,
+/// of the committee key (g^_1, g^_2) and of EVERY player's verification
+/// key, and points at the params' shared g^_z/g^_r tables. combine()
+/// interpolates first and checks the one combined signature against the
+/// key, a 4-term prepared product at any t,
 ///   e(z, g^_z) e(r, g^_r) e(H_1, g^_1) e(H_2, g^_2) == 1,
 /// and runs cached per-partial Share-Verify only when that check fails, to
-/// name cheaters (threshold/combine.hpp). Not movable: the key and
-/// per-player verifiers point at the shared g^_z/g^_r preparations.
+/// name cheaters (threshold/combine.hpp).
 class RoCombiner {
  public:
   RoCombiner(const RoScheme& scheme, const KeyMaterial& km);
@@ -223,21 +230,18 @@ class RoCombiner {
                     std::span<const PartialSignature> parts,
                     std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (object + shared generator lines + the key's lines
-  /// + every player's cached VK lines): what one committee costs in a
-  /// KeyCacheManager budget.
+  /// Resident footprint (object + the key's lines + every player's cached
+  /// VK lines): what one committee costs in a KeyCacheManager budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               key_.line_bytes() +
+    size_t b = sizeof(*this) + key_.line_bytes() +
                players_.capacity() * sizeof(RoShareVerifier);
     for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
  private:
-  RoScheme scheme_;
+  RoScheme scheme_;  // its params own the shared g^_z/g^_r tables
   size_t n_ = 0, t_ = 0;
-  G2Prepared gz_, gr_;
   RoShareVerifier key_;  // the committee key: the verification key at index 0
   std::vector<RoShareVerifier> players_;  // index i-1 -> player i
 };

@@ -21,14 +21,21 @@
 //    input (truncated, trailing bytes, non-canonical points) and must never
 //    let a hostile length field drive an allocation (ByteReader::count).
 //  * `PreparedVerifier` is the cached hot-path object: `verify` must touch
-//    only prepared state (no pairings on fixed inputs), `batch_verify` must
-//    fold the batch with fresh random-linear-combination coefficients drawn
-//    from the PROVIDED Rng (soundness: a batch containing any invalid
-//    signature passes with probability <= ~N/2^128 — and the service layer
-//    guarantees the Rng is forked after the batch is frozen), and
-//    `cache_bytes` must report the full resident footprint including
-//    heap-allocated Miller-loop line tables (the KeyCacheManager evicts by
-//    byte budget; lying starves or bloats the cache).
+//    only prepared state (no pairings on fixed inputs). `add_to_fold` adds
+//    one signature's verification equations to a shared fold
+//    (threshold/fold.hpp) as G1 points against the prepared tables they
+//    pair with, drawing no coefficients itself: the fold draws them, pins
+//    exactly one per product to 1, and may hold members of many keys and
+//    schemes, whose shared generator tables (SystemParams::tables) it keys
+//    by identity. The serving layer folds a whole worker-sized chunk of a
+//    flush into one product and bisects a failed one down to exact
+//    single-member checks, so only an exact check rejects, and d invalid
+//    members among N cost at most 2d*ceil(log2 N) sub-products.
+//    `batch_verify` folds one batch into one product through the same
+//    routine. `cache_bytes` must report the resident footprint of the
+//    tables the verifier OWNS (the shared generator tables are counted
+//    once, by nobody's key): the KeyCacheManager evicts by byte budget, and
+//    lying starves or bloats the cache.
 //  * Combine soundness: a combiner returns only a signature that passes the
 //    scheme's verification equation under the committee's public key, and
 //    when the signature interpolated from the first t+1 partials fails that
@@ -94,6 +101,8 @@ struct PartialHandle {
   std::shared_ptr<const void> obj;
 };
 
+class FoldBuilder;  // threshold/fold.hpp
+
 /// The cached per-key hot-path object behind the serving stack: prepared
 /// Miller-loop line tables for one public key, type-erased. This is the V
 /// of the single KeyCacheManager<PreparedVerifier> every scheme shares.
@@ -108,15 +117,30 @@ class PreparedVerifier {
   virtual bool verify(std::span<const uint8_t> msg,
                       const SigHandle& sig) const = 0;
 
-  /// Accumulates the whole batch into ONE random-linear-combination fold
-  /// (coefficients from `rng`) and evaluates it as a single pairing product.
-  /// False on a fold failure — the caller attributes via verify().
+  /// Adds ONE member, this signature's equations, to a shared fold: its G1
+  /// points against the prepared tables they pair with (a wrong-scheme
+  /// handle or an invalid key adds a member that fails outright). Hashes
+  /// the message once; the fold reuses the points for every sub-product.
+  ///
+  /// The default exists for wrappers that override only verify and
+  /// batch_verify (the decorators in perfbench/src/traced.cpp): it defers
+  /// the member to this verifier, whose members the fold checks through
+  /// this verifier's own batch_verify and, when that fails, its verify —
+  /// the per-key path, still exact. It goes once a benchmark change ports
+  /// those decorators to forward add_to_fold.
+  virtual void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                           const SigHandle& sig) const;
+
+  /// Folds the whole batch into ONE random-linear-combination product
+  /// (coefficients from `rng`) through the fold routine. False on a fold
+  /// failure; a caller that needs verdicts uses FoldBuilder::verdicts().
   virtual bool batch_verify(std::span<const Bytes> msgs,
                             std::span<const SigHandle> sigs,
                             Rng& rng) const = 0;
 
-  /// Resident footprint (object + heap line tables) for the byte-budget
-  /// cache. REQUIRED to be accurate: eviction provisioning depends on it.
+  /// Resident footprint (object + the heap line tables it owns) for the
+  /// byte-budget cache. REQUIRED to be accurate: eviction provisioning
+  /// depends on it.
   virtual size_t cache_bytes() const = 0;
 };
 
@@ -220,9 +244,10 @@ class Scheme {
 };
 
 // ---------------------------------------------------------------------------
-// Erasure helpers: wrap an existing typed cached verifier / signature into
-// the erased interface. Used by tests/benches that construct scheme objects
-// directly.
+// Erasure helpers: wrap an existing typed signature / partial / combiner
+// into the erased interface. Used by tests/benches that construct scheme
+// objects directly. The typed-verifier adapter (erase_verifier) lives in
+// threshold/fold.hpp, next to the fold its add_to_fold feeds.
 
 template <class Sig>
 SigHandle erase_signature(SchemeId id, Sig sig) {
@@ -232,57 +257,6 @@ SigHandle erase_signature(SchemeId id, Sig sig) {
 template <class Part>
 PartialHandle erase_partial(SchemeId id, Part part) {
   return PartialHandle{id, std::make_shared<const Part>(std::move(part))};
-}
-
-/// Adapter from the concrete verifier shape (RoVerifier / DlinVerifier /
-/// AggVerifier / BlsVerifier: verify, batch_verify, cache_bytes) to the
-/// erased interface. The SchemeId must match the tag the submitter uses in
-/// erase_signature — the daemon pairs them via the tenant registry.
-template <class Verifier, class Sig>
-class TypedPreparedVerifier final : public PreparedVerifier {
- public:
-  TypedPreparedVerifier(SchemeId id, Verifier v)
-      : id_(id), v_(std::move(v)) {}
-
-  SchemeId scheme() const override { return id_; }
-
-  bool verify(std::span<const uint8_t> msg,
-              const SigHandle& sig) const override {
-    if (sig.scheme != id_ || !sig.obj) return false;
-    return v_.verify(msg, *static_cast<const Sig*>(sig.obj.get()));
-  }
-
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const SigHandle> sigs, Rng& rng) const override {
-    std::vector<Sig> typed;
-    typed.reserve(sigs.size());
-    for (const auto& s : sigs) {
-      // A wrong-scheme handle poisons the fold; the caller's per-member
-      // fallback then rejects exactly that member via verify().
-      if (s.scheme != id_ || !s.obj) return false;
-      typed.push_back(*static_cast<const Sig*>(s.obj.get()));
-    }
-    return v_.batch_verify(msgs, typed, rng);
-  }
-
-  size_t cache_bytes() const override {
-    // The typed footprint already counts sizeof(Verifier); add the erasure
-    // overhead (vptr + tag) on top.
-    return v_.cache_bytes() + (sizeof(*this) - sizeof(Verifier));
-  }
-
-  const Verifier& typed() const { return v_; }
-
- private:
-  SchemeId id_;
-  Verifier v_;
-};
-
-template <class Verifier, class Sig>
-std::shared_ptr<const PreparedVerifier> erase_verifier(SchemeId id,
-                                                       Verifier v) {
-  return std::make_shared<const TypedPreparedVerifier<Verifier, Sig>>(
-      id, std::move(v));
 }
 
 class RoCombiner;  // ro_scheme.hpp

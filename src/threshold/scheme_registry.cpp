@@ -15,6 +15,7 @@
 #include "common/serde.hpp"
 #include "threshold/aggregate_scheme.hpp"
 #include "threshold/dlin_scheme.hpp"
+#include "threshold/fold.hpp"
 #include "threshold/ro_scheme.hpp"
 
 namespace bnr::threshold {

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,19 @@
 #include "threshold/ro_scheme.hpp"
 
 namespace bnr::testfx {
+
+/// Seed of the randomized differential sweeps: fresh per run, so a sweep
+/// explores new inputs on every execution; a failure logs it, and
+/// BNR_SWEEP_SEED=<seed> reproduces the exact trial sequence.
+inline uint64_t sweep_seed() {
+  static const uint64_t seed = [] {
+    if (const char* env = std::getenv("BNR_SWEEP_SEED"))
+      return uint64_t(std::strtoull(env, nullptr, 0));
+    std::random_device rd;
+    return uint64_t(rd()) << 32 ^ uint64_t(rd());
+  }();
+  return seed;
+}
 
 /// Base fixture over the paper's main (RO-model) scheme.
 class RoSchemeFixture : public ::testing::Test {

@@ -401,15 +401,16 @@ TEST_F(FaultsTest, InFlightCapSendsBusyAndRetriesRecover) {
 // (exact counts both sides), and a retrying client drains the whole burst
 // through the refill rate.
 TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
-  ServerConfig cfg = base_cfg();
-  cfg.conn_rate_limit = 50;  // refills fast enough to finish the test
-  cfg.conn_rate_burst = 2;
-  Daemon d(cfg);
   auto km = keygen(3, 1);
-
   {
     // No-retry client: 4 back-to-back verifies, bucket of 2 -> exactly 2
-    // BUSY. (REGISTER is control-plane: not charged.)
+    // BUSY. (REGISTER is control-plane: not charged.) The bucket refills
+    // one token per 100 s, so however the 4 verifies are scheduled, none
+    // can be admitted by a refill during the test.
+    ServerConfig cfg = base_cfg();
+    cfg.conn_rate_limit = 0.01;
+    cfg.conn_rate_burst = 2;
+    Daemon d(cfg);
     ClientConfig ccfg;
     ccfg.retry.max_attempts = 1;
     RpcClient client("127.0.0.1", d.port(), ccfg);
@@ -433,13 +434,18 @@ TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
     EXPECT_EQ(health.busy_ratelimit, 2u);
   }
   {
-    // Retrying client on a fresh connection (fresh bucket): a burst of 10
-    // all lands eventually through backoff + refill.
+    // Retrying client against a bucket that refills fast enough to finish
+    // the test: a burst of 10 all lands eventually through backoff + refill.
+    ServerConfig cfg = base_cfg();
+    cfg.conn_rate_limit = 50;
+    cfg.conn_rate_burst = 2;
+    Daemon d(cfg);
     ClientConfig ccfg;
     ccfg.retry.max_attempts = 12;
     ccfg.retry.initial_backoff = 20ms;
     ccfg.retry.max_backoff = 100ms;
     RpcClient client("127.0.0.1", d.port(), ccfg);
+    EXPECT_FALSE(client.register_ro_committee("acme", km).get());
     auto [msg, sig] = make_signed(km, "rate limit");
     std::vector<std::future<bool>> futs;
     for (int j = 0; j < 10; ++j)

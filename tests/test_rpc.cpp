@@ -1090,15 +1090,16 @@ TEST_F(RpcDaemonTest, StatsIdentityHoldsInEverySnapshotUnderLoad) {
     }
   });
   // COMBINE load alongside, so the combine counters move between polls too.
+  // At least one round runs even when the thread starts after the polls.
   RpcClient combine_client("127.0.0.1", port());
   auto parts = first_partials(km, msg);
   std::thread combines([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       std::vector<std::future<CombineResult>> futs;
       for (int j = 0; j < 4; ++j)
         futs.push_back(combine_client.combine_raw("acme", msg, parts));
       for (auto& f : futs) f.get();
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
 
   RpcClient probe("127.0.0.1", port());

@@ -5,7 +5,12 @@
 // registering its factory — no new test code.
 #include <gtest/gtest.h>
 
+#include "baselines/boldyreva.hpp"
 #include "common/rng.hpp"
+#include "common/serde.hpp"
+#include "threshold/aggregate_scheme.hpp"
+#include "threshold/dlin_scheme.hpp"
+#include "threshold/ro_scheme.hpp"
 #include "threshold/scheme_registry.hpp"
 
 namespace bnr {
@@ -141,6 +146,49 @@ TEST_F(SchemeApiTest, PreparedVerifierAcceptsAndRejectsEveryScheme) {
     EXPECT_TRUE(verifier->batch_verify(msgs, sigs, rng));
     sigs[1] = wrong;
     EXPECT_FALSE(verifier->batch_verify(msgs, sigs, rng));
+  }
+}
+
+TEST_F(SchemeApiTest, VerifiersCountOnlyTheirOwnedTables) {
+  // A cached verifier owns the line tables of its key's G2 elements only:
+  // 2 for RO and Agg, 6 for DLIN, 1 for BLS. The generator tables (g^_z,
+  // g^_r, h^_z, h^_u, the G2 generator) live once in SystemParams::tables,
+  // and cache_bytes() must not charge them to every key.
+  const size_t table = G2Prepared(G2Curve::generator_affine()).line_bytes();
+  const SystemParams sp = SystemParams::derive("scheme-api/v1");
+  for (const auto& m : materials()) {
+    SCOPED_TRACE(std::string(m.scheme->name()));
+    const Bytes& pk = m.sample.committee.pk;
+    size_t owned = 0, typed_bytes = 0, object = 0;
+    switch (m.scheme->id()) {
+      case SchemeId::kRo: {
+        RoVerifier v(RoScheme(sp), PublicKey::deserialize(pk));
+        owned = 2, typed_bytes = v.cache_bytes(), object = sizeof(v);
+        break;
+      }
+      case SchemeId::kDlin: {
+        DlinVerifier v(DlinScheme(sp), DlinPublicKey::deserialize(pk));
+        owned = 6, typed_bytes = v.cache_bytes(), object = sizeof(v);
+        break;
+      }
+      case SchemeId::kAgg: {
+        AggVerifier v(AggregateScheme(sp), AggPublicKey::deserialize(pk));
+        owned = 2, typed_bytes = v.cache_bytes(), object = sizeof(v);
+        break;
+      }
+      case SchemeId::kBls: {
+        ByteReader rd(pk);
+        baselines::BlsVerifier v(baselines::BoldyrevaBls(sp),
+                                 {g2_deserialize(rd)});
+        owned = 1, typed_bytes = v.cache_bytes(), object = sizeof(v);
+        break;
+      }
+    }
+    EXPECT_EQ(typed_bytes, object + owned * table);
+    // The erased verifier the cache holds adds only its vptr and tag.
+    const size_t erased = m.scheme->make_verifier(pk)->cache_bytes();
+    EXPECT_GE(erased, typed_bytes);
+    EXPECT_LT(erased, typed_bytes + 64);
   }
 }
 

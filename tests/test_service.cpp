@@ -6,17 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <future>
+#include <map>
 #include <thread>
 
+#include "baselines/boldyreva.hpp"
 #include "common/rng.hpp"
 #include "fixtures.hpp"
 #include "service/key_cache.hpp"
 #include "service/parallel.hpp"
 #include "service/thread_pool.hpp"
 #include "service/verification_service.hpp"
+#include "threshold/aggregate_scheme.hpp"
 #include "threshold/dlin_scheme.hpp"
+#include "threshold/fold.hpp"
 #include "threshold/ro_scheme.hpp"
+#include "threshold/scheme_registry.hpp"
 
 namespace bnr {
 namespace {
@@ -510,10 +516,11 @@ struct MultiTenantFixture : testfx::RoSchemeFixture {
   }
 };
 
-TEST_F(MultiTenantFixture, DistinctKeysNeverShareAFold) {
-  // 8 valid requests for A and 8 for B interleaved into ONE size flush: the
-  // flush must split into (at least) one fold per key — folding across keys
-  // with either tenant's verifier would reject the other tenant's half.
+TEST_F(MultiTenantFixture, KeysOfAFlushFoldInWorkerSizedChunks) {
+  // 8 valid requests for A and 8 for B interleaved into ONE size flush on a
+  // 4-worker pool: the flush packs its per-key groups into min(workers,
+  // keys) = 2 chunk products, each key whole in one chunk, and every member
+  // of every key is accepted without a fallback.
   ThreadPool pool(4);
   service::KeyCacheManager<PreparedVerifier> cache(
       {.byte_budget = 16u << 20, .shards = 4});
@@ -537,8 +544,8 @@ TEST_F(MultiTenantFixture, DistinctKeysNeverShareAFold) {
   EXPECT_EQ(st.submitted, 16u);
   EXPECT_EQ(st.accepted, 16u);
   EXPECT_EQ(st.rejected, 0u);
-  EXPECT_EQ(st.fallbacks, 0u);  // all-valid per-key folds pass outright
-  EXPECT_GE(st.batches, 2u);    // >= one fold per key
+  EXPECT_EQ(st.fallbacks, 0u);  // all-valid chunk products pass outright
+  EXPECT_GE(st.batches, 2u);    // min(workers, keys) chunk products
   EXPECT_GE(cache.stats().resident_entries, 2u);
 }
 
@@ -632,6 +639,385 @@ TEST_F(MultiTenantFixture, MultiTenantCombineServiceRoutesPerCommittee) {
   EXPECT_FALSE(sa == sb);
   EXPECT_FALSE(scheme.verify(kmB.pk, m, sa));
   EXPECT_EQ(cache.stats().resident_entries, 2u);
+}
+
+TEST_F(MultiTenantFixture, CancellingForgeriesAcrossKeysAreRejected) {
+  // One worker, so A and B share ONE chunk product. A's first member
+  // carries z + X and B's first member z - X, with r and H honest. If each
+  // key pinned its own first coefficient to 1, X would cancel on the shared
+  // g^_z table and both forgeries would pass; with one pinned coefficient
+  // per product the chunk fails and bisection rejects exactly those two.
+  ThreadPool pool(1);
+  service::KeyCacheManager<PreparedVerifier> cache(
+      {.byte_budget = 16u << 20, .shards = 1});
+  BatchPolicy policy{.max_batch = 6,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  service::MultiTenantVerificationService svc(cache, provider(), policy,
+                                              pool);
+  Rng coins("cancelling-forgeries");
+  const G1Affine x = G1::generator().mul(Fr::random(coins)).to_affine();
+  std::vector<std::pair<std::future<bool>, bool>> futs;  // future, expected
+  for (const char* tenant : {"A", "B"}) {
+    const bool a = tenant[0] == 'A';
+    for (int j = 0; j < 3; ++j) {
+      auto [m, s] = make_signed(a ? kmA : kmB, std::string(tenant) +
+                                                   " cancel " +
+                                                   std::to_string(j));
+      if (j == 0) s.z = (G1::from_affine(s.z) + (a ? x : -x)).to_affine();
+      futs.emplace_back(svc.submit(tenant, m, erased(s)), j != 0);
+    }
+  }
+  for (auto& [f, expected] : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(120)),
+              std::future_status::ready);
+    EXPECT_EQ(f.get(), expected);
+  }
+  auto st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);  // one worker: both keys in one product
+  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.accepted, 4u);
+  EXPECT_EQ(st.rejected, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared folds: one chunk product over the members of many keys, a failed
+// product bisected down to exact single-member checks, and pinning,
+// shedding and provider errors kept per key.
+
+struct SharedFoldFixture : testfx::RoSchemeFixture {
+  SharedFoldFixture() : RoSchemeFixture("shared-fold") {}
+  std::map<std::string, KeyMaterial> keys;  // filled before any submission
+  service::KeyCacheManager<PreparedVerifier> cache{
+      service::KeyCachePolicy{.byte_budget = 16u << 20, .shards = 2}};
+
+  const KeyMaterial& key(const std::string& id) {
+    auto it = keys.find(id);
+    if (it == keys.end()) it = keys.emplace(id, keygen(3, 1)).first;
+    return it->second;
+  }
+  /// Prepares the verifier of a key made by key(); throws for "broken".
+  service::MultiTenantVerificationService::VerifierProvider provider() {
+    return [this](const std::string& id)
+               -> std::shared_ptr<const PreparedVerifier> {
+      if (id == "broken") throw std::runtime_error("no verifier for broken");
+      return erase_verifier<RoVerifier, Signature>(
+          SchemeId::kRo, RoVerifier(scheme, keys.at(id).pk));
+    };
+  }
+  static SigHandle erased(Signature s) {
+    return erase_signature(SchemeId::kRo, std::move(s));
+  }
+};
+
+TEST_F(SharedFoldFixture, NoisyNeighbourCostsBoundedBisection) {
+  // One tenant floods forgeries into flushes it shares with three honest
+  // tenants. One worker, so each 16-member flush is ONE chunk product over
+  // all four keys: every verdict must be exact, and a failed product with
+  // d forgeries among its N = 16 members may cost at most
+  // 2d * ceil(log2 16) = 8d sub-products, where the per-member fallback
+  // paid N verifies.
+  for (const char* id : {"h0", "h1", "h2", "noisy"}) key(id);
+  constexpr size_t kN = 16, kLog2N = 4;
+  ThreadPool pool(1);
+  BatchPolicy policy{.max_batch = kN,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  service::MultiTenantVerificationService svc(cache, provider(), policy,
+                                              pool);
+  Rng pick("noisy-neighbour");
+  uint64_t msg_no = 0;
+  for (size_t forged : {0, 1, 2, 3, 5, 8}) {
+    SCOPED_TRACE("forgeries per flush: " + std::to_string(forged));
+    std::vector<bool> bad(kN, false);
+    for (size_t k = 0; k < forged;) {
+      const size_t at = pick.uniform(kN);
+      if (!bad[at]) bad[at] = true, ++k;
+    }
+    const auto before = svc.stats();
+    std::vector<std::pair<std::future<bool>, bool>> futs;
+    for (size_t j = 0; j < kN; ++j) {
+      // Every forgery comes from the noisy tenant, which also sends honest
+      // requests; the honest tenants take the other slots in turn.
+      const std::string id =
+          bad[j] || j % 4 == 3 ? "noisy" : "h" + std::to_string(j % 3);
+      auto [m, s] = make_signed(keys.at(id),
+                                "noisy " + std::to_string(msg_no++), !bad[j]);
+      futs.emplace_back(svc.submit(id, m, erased(s)), !bad[j]);
+    }
+    for (auto& [f, expected] : futs) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(120)),
+                std::future_status::ready);
+      EXPECT_EQ(f.get(), expected);
+    }
+    const auto after = svc.stats();
+    EXPECT_EQ(after.batches - before.batches, 1u);
+    EXPECT_EQ(after.fallbacks - before.fallbacks, forged ? 1u : 0u);
+    EXPECT_LE(after.subproducts - before.subproducts, 2 * forged * kLog2N);
+    EXPECT_EQ(after.rejected - before.rejected, forged);
+    EXPECT_EQ(after.accepted - before.accepted, kN - forged);
+  }
+}
+
+TEST_F(SharedFoldFixture, ProviderFailureFailsOnlyItsKey) {
+  // One worker, so the broken key shares a chunk with two healthy ones. Its
+  // provider throws: only its members complete exceptionally, the other
+  // keys' members get exact verdicts (a forgery among them), and the
+  // accounting identity holds.
+  key("a");
+  key("b");
+  ThreadPool pool(1);
+  BatchPolicy policy{.max_batch = 9,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  service::MultiTenantVerificationService svc(cache, provider(), policy,
+                                              pool);
+  std::vector<std::pair<std::future<bool>, bool>> healthy;
+  std::vector<std::future<bool>> broken;
+  for (const std::string id : {"a", "broken", "b"})
+    for (int j = 0; j < 3; ++j) {
+      const bool valid = !(id == "a" && j == 1);
+      auto [m, s] = make_signed(keys.at(id == "b" ? "b" : "a"),
+                                id + " " + std::to_string(j), valid);
+      auto f = svc.submit(id, m, erased(s));
+      if (id == "broken")
+        broken.push_back(std::move(f));
+      else
+        healthy.emplace_back(std::move(f), valid);
+    }
+  for (auto& [f, expected] : healthy) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(120)),
+              std::future_status::ready);
+    EXPECT_EQ(f.get(), expected);
+  }
+  for (auto& f : broken) EXPECT_THROW(f.get(), std::runtime_error);
+  auto st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.errors, 3u);
+  EXPECT_EQ(st.accepted, 5u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.in_progress, 0u);
+  EXPECT_EQ(st.submitted, st.accepted + st.rejected + st.deadline_sheds +
+                              st.errors + st.in_progress);
+}
+
+TEST_F(SharedFoldFixture, WrapperVerifiersKeepThePerKeyPath) {
+  // A decorator that overrides only verify and batch_verify (as the
+  // benchmark's tracing wrapper does) inherits add_to_fold's default: its
+  // members skip the shared product and are checked through its own
+  // batch_verify, then its verify when that fails. Verdicts stay exact
+  // next to a plain key in the same chunk.
+  struct Counting final : PreparedVerifier {
+    std::shared_ptr<const PreparedVerifier> inner;
+    mutable std::atomic<int> batches{0}, verifies{0};
+    SchemeId scheme() const override { return inner->scheme(); }
+    bool verify(std::span<const uint8_t> msg,
+                const SigHandle& sig) const override {
+      ++verifies;
+      return inner->verify(msg, sig);
+    }
+    bool batch_verify(std::span<const Bytes> msgs,
+                      std::span<const SigHandle> sigs,
+                      Rng& rng) const override {
+      ++batches;
+      return inner->batch_verify(msgs, sigs, rng);
+    }
+    size_t cache_bytes() const override { return inner->cache_bytes(); }
+  };
+  key("plain");
+  key("wrapped");
+  auto wrapper = std::make_shared<Counting>();
+  wrapper->inner = provider()("wrapped");
+  ThreadPool pool(1);
+  BatchPolicy policy{.max_batch = 6,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  auto plain = provider();
+  service::MultiTenantVerificationService svc(
+      cache,
+      [&](const std::string& id) -> std::shared_ptr<const PreparedVerifier> {
+        if (id == "wrapped") return wrapper;
+        return plain(id);
+      },
+      policy, pool);
+  std::vector<std::pair<std::future<bool>, bool>> futs;
+  for (const std::string id : {"plain", "wrapped"})
+    for (int j = 0; j < 3; ++j) {
+      const bool valid = j != 2;
+      auto [m, s] = make_signed(keys.at(id), id + " " + std::to_string(j),
+                                valid);
+      futs.emplace_back(svc.submit(id, m, erased(s)), valid);
+    }
+  for (auto& [f, expected] : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(120)),
+              std::future_status::ready);
+    EXPECT_EQ(f.get(), expected);
+  }
+  EXPECT_EQ(wrapper->batches.load(), 1);   // one fold of its three members
+  EXPECT_EQ(wrapper->verifies.load(), 3);  // it failed: each one verified
+  auto st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.accepted, 4u);
+  EXPECT_EQ(st.rejected, 2u);
+}
+
+TEST(SharedFoldSweep, MixedSchemeFlushesMatchPerMemberVerify) {
+  // Seeded differential sweep: flushes that mix RO, DLIN, Agg and BLS keys
+  // on a multi-worker pool, against a fresh verifier's per-member verify().
+  // The mix holds an Agg key that fails its sanity check, wrong-scheme
+  // handles, signatures on another message, and resent members.
+  const uint64_t seed = testfx::sweep_seed();
+  SCOPED_TRACE("reproduce with BNR_SWEEP_SEED=" + std::to_string(seed));
+  std::printf("[ sweep ] BNR_SWEEP_SEED=%llu\n", (unsigned long long)seed);
+
+  const SystemParams sp = SystemParams::derive("shared-fold-sweep");
+  const SchemeRegistry registry(sp);
+  Rng keys_rng("shared-fold-sweep-keys");
+  constexpr size_t kItems = 5;
+  struct Tenant {
+    std::string id;
+    const Scheme* scheme;
+    Bytes pk;
+    std::vector<std::pair<Bytes, Bytes>> items;  // (message, signature)
+    std::shared_ptr<const PreparedVerifier> oracle;
+  };
+  std::vector<Tenant> tenants;
+  auto add = [&](std::string id, SchemeId sid, Bytes pk, auto sign) {
+    Tenant t{std::move(id), &registry.at(sid), std::move(pk), {}, nullptr};
+    for (size_t i = 0; i < kItems; ++i) {
+      Bytes m = to_bytes(t.id + " item " + std::to_string(i));
+      Bytes sig = sign(m);
+      t.items.emplace_back(std::move(m), std::move(sig));
+    }
+    t.oracle = t.scheme->make_verifier(t.pk);
+    tenants.push_back(std::move(t));
+  };
+  auto firsts = [](size_t t) {
+    std::vector<uint32_t> out;
+    for (uint32_t i = 1; i <= t + 1; ++i) out.push_back(i);
+    return out;
+  };
+  const RoScheme ro(sp);
+  for (int k = 0; k < 2; ++k) {
+    const KeyMaterial km = ro.dist_keygen(3, 1, keys_rng);
+    add("ro-" + std::to_string(k), SchemeId::kRo, km.pk.serialize(),
+        [&](const Bytes& m) {
+          std::vector<PartialSignature> parts;
+          for (uint32_t i : firsts(km.t))
+            parts.push_back(ro.share_sign(km.shares[i - 1], m));
+          return ro.combine_unchecked(km.t, parts).serialize();
+        });
+  }
+  const DlinScheme dlin(sp);
+  {
+    const DlinKeyMaterial km = dlin.dist_keygen(3, 1, keys_rng);
+    add("dlin-0", SchemeId::kDlin, km.pk.serialize(), [&](const Bytes& m) {
+      std::vector<DlinPartialSignature> parts;
+      for (uint32_t i : firsts(km.t))
+        parts.push_back(dlin.share_sign(km.shares[i - 1], m));
+      return dlin.combine(km, m, parts).serialize();
+    });
+  }
+  const AggregateScheme agg(sp);
+  {
+    const AggKeyMaterial km = agg.dist_keygen(3, 1, keys_rng);
+    auto signer = [&](const AggKeyMaterial& k) {
+      return [&](const Bytes& m) {
+        std::vector<PartialSignature> parts;
+        for (uint32_t i : firsts(k.t))
+          parts.push_back(agg.share_sign(k.pk, k.shares[i - 1], m));
+        return agg.combine(k, m, parts).serialize();
+      };
+    };
+    add("agg-0", SchemeId::kAgg, km.pk.serialize(), signer(km));
+    // The same shares under a key whose validity proof is broken: its
+    // signatures satisfy the pairing equation, but the key fails its
+    // sanity check, so every one of them must be rejected.
+    AggKeyMaterial bad = km;
+    bad.pk.big_z = (G1::from_affine(bad.pk.big_z) + G1::generator()).to_affine();
+    ASSERT_FALSE(agg.key_sanity_check(bad.pk));
+    add("agg-bad", SchemeId::kAgg, bad.pk.serialize(), signer(bad));
+  }
+  const baselines::BoldyrevaBls bls(sp);
+  for (int k = 0; k < 2; ++k) {
+    const baselines::BlsKeyMaterial km = bls.dealer_keygen(3, 1, keys_rng);
+    ByteWriter pk;
+    g2_serialize(km.pk.pk, pk);
+    add("bls-" + std::to_string(k), SchemeId::kBls, pk.take(),
+        [&](const Bytes& m) {
+          std::vector<baselines::BlsPartialSignature> parts;
+          for (uint32_t i : firsts(km.t))
+            parts.push_back(bls.share_sign(km.shares[i - 1], m));
+          ByteWriter w;
+          g1_serialize(bls.combine_unchecked(km.t, parts), w);
+          return w.take();
+        });
+  }
+
+  std::map<std::string, const Tenant*> by_id;
+  for (const auto& t : tenants) by_id[t.id] = &t;
+  service::KeyCacheManager<PreparedVerifier> cache(
+      {.byte_budget = 64u << 20, .shards = 4});
+  ThreadPool pool(3);
+  BatchPolicy policy{.max_batch = 1000,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  service::MultiTenantVerificationService svc(
+      cache,
+      [&](const std::string& id) -> std::shared_ptr<const PreparedVerifier> {
+        const Tenant& t = *by_id.at(id);
+        return t.scheme->make_verifier(t.pk);
+      },
+      policy, pool);
+
+  Rng trial("shared-fold-sweep/" + std::to_string(seed));
+  struct Member {
+    const Tenant* tenant;
+    Bytes msg;
+    SigHandle sig;
+  };
+  for (int flush = 0; flush < 10; ++flush) {
+    std::vector<Member> members;
+    const size_t n = 6 + trial.uniform(14);
+    while (members.size() < n) {
+      const Tenant& t = tenants[trial.uniform(tenants.size())];
+      const size_t i = trial.uniform(kItems);
+      const auto& [msg, sig] = t.items[i];
+      switch (trial.uniform(6)) {
+        case 3:  // a valid signature on another message
+          members.push_back(
+              {&t, msg, t.scheme->parse_signature(t.items[(i + 1) % kItems].second)});
+          break;
+        case 4: {  // a handle of another scheme
+          const Tenant& o = tenants[trial.uniform(tenants.size())];
+          members.push_back({&t, msg, o.scheme->parse_signature(o.items[i].second)});
+          break;
+        }
+        case 5:  // a resent member, same handle
+          if (!members.empty()) {
+            members.push_back(members[trial.uniform(members.size())]);
+            break;
+          }
+          [[fallthrough]];
+        default:
+          members.push_back({&t, msg, t.scheme->parse_signature(sig)});
+      }
+    }
+    std::vector<std::future<bool>> futs;
+    for (const auto& m : members)
+      futs.push_back(svc.submit(m.tenant->id, m.msg, m.sig));
+    svc.flush();
+    for (size_t j = 0; j < members.size(); ++j) {
+      ASSERT_EQ(futs[j].wait_for(std::chrono::seconds(300)),
+                std::future_status::ready);
+      EXPECT_EQ(futs[j].get(),
+                members[j].tenant->oracle->verify(members[j].msg,
+                                                  members[j].sig))
+          << "flush " << flush << " member " << j << " ("
+          << members[j].tenant->id << ")";
+    }
+  }
+  const auto st = svc.stats();
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_EQ(st.in_progress, 0u);
+  EXPECT_EQ(st.submitted, st.accepted + st.rejected + st.deadline_sheds +
+                              st.errors + st.in_progress);
+  EXPECT_LE(st.batches, 10u * pool.size());
 }
 
 }  // namespace

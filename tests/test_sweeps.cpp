@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
-#include <random>
 
 #include "common/rng.hpp"
 #include "fixtures.hpp"
@@ -161,15 +159,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, StdSweep,
 // every CI execution; a failure logs the seed, and re-running with
 // BNR_SWEEP_SEED=<seed> reproduces the exact trial sequence.
 
-uint64_t sweep_seed() {
-  static const uint64_t seed = [] {
-    if (const char* env = std::getenv("BNR_SWEEP_SEED"))
-      return uint64_t(std::strtoull(env, nullptr, 0));
-    std::random_device rd;
-    return uint64_t(rd()) << 32 ^ uint64_t(rd());
-  }();
-  return seed;
-}
+using testfx::sweep_seed;
 
 /// Per-suite trial RNG: derived from the run seed plus a domain so suites
 /// stay independent; SCOPED_TRACE at each use site logs the reproduction
