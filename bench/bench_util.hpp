@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,27 @@ inline double ns_per_op(const std::function<void()>& fn, int min_reps = 5,
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2] * 1e6;
+}
+
+/// Times each of `fns` in `rounds` alternating same-process rounds and
+/// returns each one's median ns/op over the rounds. For the ratios CI
+/// gates or reports: timed once each, one block after the other, a ratio
+/// follows whichever host phase each side happened to run in.
+inline std::vector<double> alternating_ns(
+    std::initializer_list<std::function<void()>> fns, int rounds,
+    int min_reps, double min_total_ms) {
+  std::vector<std::vector<double>> per(fns.size());
+  for (int r = 0; r < rounds; ++r) {
+    size_t i = 0;
+    for (const auto& fn : fns)
+      per[i++].push_back(ns_per_op(fn, min_reps, min_total_ms));
+  }
+  std::vector<double> medians;
+  for (auto& v : per) {
+    std::sort(v.begin(), v.end());
+    medians.push_back(v[v.size() / 2]);
+  }
+  return medians;
 }
 
 inline void header(const char* title) {

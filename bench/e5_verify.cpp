@@ -12,10 +12,7 @@
 //
 // Emits BENCH_e5.json records (name, ns/op) so the perf trajectory is
 // tracked from this PR onward.
-#include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <initializer_list>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -36,27 +33,6 @@ std::vector<PairingTerm> make_terms(size_t k) {
 }
 
 volatile bool sink = false;
-
-/// Times each of `fns` in `rounds` alternating same-process rounds and
-/// returns each one's median over the rounds. The CI gates divide two of
-/// these; timed once each, one after the other, the ratio followed whichever
-/// host phase each side happened to run in.
-std::vector<double> alternating_ns(
-    std::initializer_list<std::function<void()>> fns, int rounds,
-    int min_reps, double min_total_ms) {
-  std::vector<std::vector<double>> per(fns.size());
-  for (int r = 0; r < rounds; ++r) {
-    size_t i = 0;
-    for (const auto& fn : fns)
-      per[i++].push_back(bench::ns_per_op(fn, min_reps, min_total_ms));
-  }
-  std::vector<double> medians;
-  for (auto& v : per) {
-    std::sort(v.begin(), v.end());
-    medians.push_back(v[v.size() / 2]);
-  }
-  return medians;
-}
 
 }  // namespace
 
@@ -140,7 +116,7 @@ int main() {
   // batch_x64) are timed in alternating rounds, each name recording its
   // median over the rounds.
   constexpr int kRounds = 7;
-  const auto single = alternating_ns(
+  const auto single = bench::alternating_ns(
       {[&] { sink = verify_seed_path(msgs[0], sigs[0]); },
        [&] { sink = verifier.verify(msgs[0], sigs[0]); }},
       kRounds, 3, 60.0);
@@ -150,7 +126,7 @@ int main() {
   out.record("verify/cached", single[1]);
 
   Rng batch_rng("e5-batch-rlc");
-  const auto batched = alternating_ns(
+  const auto batched = bench::alternating_ns(
       {[&] {
          bool ok = true;
          for (size_t j = 0; j < kBatch; ++j)

@@ -67,9 +67,12 @@ bool BoldyrevaBls::share_verify(const G2Affine& vk,
 
 bool BoldyrevaBls::share_verify(const G2Affine& vk, const G1Affine& neg_h,
                                 const BlsPartialSignature& psig) const {
-  std::array<PairingTerm, 2> terms = {
-      PairingTerm{psig.sigma, G2Curve::generator_affine()},
-      PairingTerm{neg_h, vk},
+  // The G2-generator lines come from the params' shared table; only vk is
+  // prepared here.
+  const G2Prepared key(vk);
+  std::array<PreparedTerm, 2> terms = {
+      PreparedTerm{psig.sigma, &params_.tables->g2},
+      PreparedTerm{neg_h, &key},
   };
   return pairing_product_is_one(terms);
 }
@@ -109,12 +112,7 @@ G1Affine BoldyrevaBls::combine_unchecked(
 bool BoldyrevaBls::verify(const BlsPublicKey& pk,
                           std::span<const uint8_t> msg,
                           const G1Affine& sig) const {
-  G1Affine neg_h = -hash_message(msg);
-  std::array<PairingTerm, 2> terms = {
-      PairingTerm{sig, G2Curve::generator_affine()},
-      PairingTerm{neg_h, pk.pk},
-  };
-  return pairing_product_is_one(terms);
+  return share_verify(pk.pk, -hash_message(msg), {0, sig});
 }
 
 // ---------------------------------------------------------------------------

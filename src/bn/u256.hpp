@@ -8,10 +8,52 @@
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/bytes.hpp"
 
 namespace bnr {
+
+/// Carry (or borrow) bit threaded through a multi-limb chain: 0 or 1.
+using Carry = unsigned char;
+
+/// out = a + b + c; returns the carry out. One link of an add-with-carry
+/// chain: on x86-64 the `_addcarry_u64` intrinsic, which GCC and Clang
+/// chain into adc; elsewhere 128-bit arithmetic. Constant evaluation (the
+/// compile-time Montgomery constants) takes the 128-bit formula, since the
+/// intrinsic is not constexpr.
+constexpr Carry addc(Carry c, uint64_t a, uint64_t b, uint64_t& out) {
+#if defined(__x86_64__)
+  if (!std::is_constant_evaluated()) {
+    unsigned long long r;
+    c = _addcarry_u64(c, a, b, &r);
+    out = r;
+    return c;
+  }
+#endif
+  const unsigned __int128 s = (unsigned __int128)a + b + c;
+  out = static_cast<uint64_t>(s);
+  return static_cast<Carry>(s >> 64);
+}
+
+/// out = a - b - c; returns the borrow out. The sbb counterpart of addc.
+constexpr Carry subb(Carry c, uint64_t a, uint64_t b, uint64_t& out) {
+#if defined(__x86_64__)
+  if (!std::is_constant_evaluated()) {
+    unsigned long long r;
+    c = _subborrow_u64(c, a, b, &r);
+    out = r;
+    return c;
+  }
+#endif
+  const unsigned __int128 d = (unsigned __int128)a - b - c;
+  out = static_cast<uint64_t>(d);
+  return static_cast<Carry>((d >> 64) & 1);
+}
 
 struct U256 {
   // w[0] is the least significant limb.
@@ -76,27 +118,18 @@ struct U256 {
   constexpr bool operator<(const U256& o) const { return cmp(*this, o) < 0; }
   constexpr bool operator>=(const U256& o) const { return cmp(*this, o) >= 0; }
 
-  /// out = a + b; returns carry.
+  /// out = a + b; returns carry. `out` may alias either input.
   static constexpr uint64_t add(const U256& a, const U256& b, U256& out) {
-    unsigned __int128 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-      unsigned __int128 s = (unsigned __int128)a.w[i] + b.w[i] + carry;
-      out.w[i] = static_cast<uint64_t>(s);
-      carry = s >> 64;
-    }
-    return static_cast<uint64_t>(carry);
+    Carry c = 0;
+    for (int i = 0; i < 4; ++i) c = addc(c, a.w[i], b.w[i], out.w[i]);
+    return c;
   }
 
-  /// out = a - b; returns borrow.
+  /// out = a - b; returns borrow. `out` may alias either input.
   static constexpr uint64_t sub(const U256& a, const U256& b, U256& out) {
-    unsigned __int128 borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-      unsigned __int128 d =
-          (unsigned __int128)a.w[i] - b.w[i] - borrow;
-      out.w[i] = static_cast<uint64_t>(d);
-      borrow = (d >> 64) & 1;
-    }
-    return static_cast<uint64_t>(borrow);
+    Carry c = 0;
+    for (int i = 0; i < 4; ++i) c = subb(c, a.w[i], b.w[i], out.w[i]);
+    return c;
   }
 
   constexpr U256 shr1() const {

@@ -73,6 +73,9 @@ template <class Tag>
 class Mont {
  public:
   static constexpr U256 kMod = Tag::kModulus;
+  // With the top bit clear, a sum of two elements never carries out of the
+  // top limb, which the add kernel's correction relies on.
+  static_assert((kMod.w[3] >> 63) == 0, "Mont needs a modulus below 2^255");
   static constexpr uint64_t kInv = detail::mont_inv64(kMod);
   static constexpr U256 kR = detail::mont_r(kMod);
   static constexpr U256 kR2 = detail::mont_r2(kMod);
@@ -125,22 +128,12 @@ class Mont {
 
   Mont operator+(const Mont& o) const {
     Mont r;
-    uint64_t carry = U256::add(v_, o.v_, r.v_);
-    (void)carry;  // impossible: both < mod < 2^255
-    if (r.v_ >= kMod) {
-      U256 t;
-      U256::sub(r.v_, kMod, t);
-      r.v_ = t;
-    }
+    r.v_ = add_mod(v_, o.v_);
     return r;
   }
   Mont operator-(const Mont& o) const {
     Mont r;
-    if (U256::sub(v_, o.v_, r.v_)) {
-      U256 t;
-      U256::add(r.v_, kMod, t);
-      r.v_ = t;
-    }
+    r.v_ = sub_mod(v_, o.v_);
     return r;
   }
   Mont operator-() const { return zero() - *this; }
@@ -235,38 +228,75 @@ class Mont {
   bool is_odd() const { return (to_u256().w[0] & 1) != 0; }
 
  private:
-  static U256 mul_redc(const U256& a, const U256& b) {
-    using u128 = unsigned __int128;
-    uint64_t t[6] = {0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      u128 carry = 0;
-      for (int j = 0; j < 4; ++j) {
-        u128 cur = (u128)t[j] + (u128)a.w[i] * b.w[j] + carry;
-        t[j] = static_cast<uint64_t>(cur);
-        carry = cur >> 64;
-      }
-      u128 s = (u128)t[4] + carry;
-      t[4] = static_cast<uint64_t>(s);
-      t[5] = static_cast<uint64_t>(s >> 64);
+  // The kernels below are carry chains (bn/u256.hpp addc/subb) followed by
+  // a correction chosen by mask arithmetic: they compare nothing and take no
+  // branch on the data. That is not yet a constant-time signing path: pow,
+  // inverse and the curve's scalar multiplication still branch.
 
-      uint64_t m = t[0] * kInv;
-      carry = ((u128)t[0] + (u128)m * kMod.w[0]) >> 64;
-      for (int j = 1; j < 4; ++j) {
-        u128 cur = (u128)t[j] + (u128)m * kMod.w[j] + carry;
-        t[j - 1] = static_cast<uint64_t>(cur);
-        carry = cur >> 64;
-      }
-      s = (u128)t[4] + carry;
-      t[3] = static_cast<uint64_t>(s);
-      t[4] = t[5] + static_cast<uint64_t>(s >> 64);
+  /// a where `keep_a` is all ones, b where it is zero. One expression per
+  /// limb: GCC 12 vectorizes the same select written as a loop over the
+  /// limbs through a stack round trip that costs more than an add.
+  static U256 select(uint64_t keep_a, const U256& a, const U256& b) {
+    auto pick = [&](int i) { return b.w[i] ^ ((a.w[i] ^ b.w[i]) & keep_a); };
+    return U256{{pick(0), pick(1), pick(2), pick(3)}};
+  }
+
+  /// (a + b) mod p for a, b < p. The sum cannot carry out of the top limb
+  /// (p < 2^255), so it is s when s - p borrows and s - p otherwise.
+  static U256 add_mod(const U256& a, const U256& b) {
+    U256 s, d;
+    U256::add(a, b, s);
+    const uint64_t borrow = U256::sub(s, kMod, d);
+    return select(0 - borrow, s, d);
+  }
+
+  /// (a - b) mod p for a, b < p: adds back p masked by the borrow.
+  static U256 sub_mod(const U256& a, const U256& b) {
+    U256 d, p;
+    const uint64_t mask = 0 - U256::sub(a, b, d);
+    for (int i = 0; i < 4; ++i) p.w[i] = kMod.w[i] & mask;
+    U256::add(d, p, d);
+    return d;
+  }
+
+  /// t[0..4] += x * y: the low halves of the four 64x64 products on one
+  /// carry chain, the high halves one limb up on a second. Returns the
+  /// carry out of t[4].
+  static uint64_t mul_add_row(uint64_t (&t)[5], uint64_t x, const U256& y) {
+    uint64_t lo[4], hi[4];
+    for (int j = 0; j < 4; ++j) {
+      const unsigned __int128 prod = (unsigned __int128)x * y.w[j];
+      lo[j] = static_cast<uint64_t>(prod);
+      hi[j] = static_cast<uint64_t>(prod >> 64);
     }
-    U256 r{{t[0], t[1], t[2], t[3]}};
-    if (t[4] != 0 || r >= kMod) {
-      U256 o;
-      U256::sub(r, kMod, o);
-      r = o;
+    Carry cl = 0, ch = 0;
+    for (int j = 0; j < 4; ++j) cl = addc(cl, t[j], lo[j], t[j]);
+    cl = addc(cl, t[4], 0, t[4]);
+    for (int j = 0; j < 4; ++j) ch = addc(ch, t[j + 1], hi[j], t[j + 1]);
+    return uint64_t(cl) + ch;
+  }
+
+  /// Montgomery product a * b / 2^256 mod p (CIOS): per limb of a, add
+  /// a_i * b, then m * p with m chosen to clear the low limb, and shift down
+  /// a limb. The result lies in [0, 2p); one masked subtraction ends it.
+  static U256 mul_redc(const U256& a, const U256& b) {
+    uint64_t t[5] = {0, 0, 0, 0, 0};
+    for (int i = 0; i < 4; ++i) {
+      uint64_t top = mul_add_row(t, a.w[i], b);
+      const uint64_t m = t[0] * kInv;
+      top += mul_add_row(t, m, kMod);  // t[0] is now zero
+      for (int j = 0; j < 4; ++j) t[j] = t[j + 1];
+      t[4] = top;
     }
-    return r;
+    // t - p over all five limbs borrows iff t < p.
+    const U256 r{{t[0], t[1], t[2], t[3]}};
+    U256 d;
+    uint64_t high;
+    Carry borrow = 0;
+    for (int j = 0; j < 4; ++j)
+      borrow = subb(borrow, r.w[j], kMod.w[j], d.w[j]);
+    borrow = subb(borrow, t[4], 0, high);
+    return select(0 - uint64_t(borrow), r, d);
   }
 
   static U256 half_mod(const U256& x) {
@@ -277,16 +307,6 @@ class Mont {
     U256 h = t.shr1();
     if (carry) h.w[3] |= (uint64_t(1) << 63);
     return h;
-  }
-
-  static U256 sub_mod(const U256& a, const U256& b) {
-    U256 r;
-    if (U256::sub(a, b, r)) {
-      U256 t;
-      U256::add(r, kMod, t);
-      r = t;
-    }
-    return r;
   }
 
   static U256 binary_inverse(U256 x) {

@@ -1,6 +1,5 @@
 #include "pairing/pairing.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "bn/biguint.hpp"
@@ -260,10 +259,23 @@ Fp12 easy_part(const Fp12& f) {
 }  // namespace
 
 namespace {
-// Cyclotomic exponentiation by the BN parameter u (valid after easy part).
+// Exponentiation by the BN parameter u along its NAF (weight 24, against 28
+// set bits), valid after the easy part: cyclotomic squarings, and a multiply
+// by f for a +1 digit or by its conjugate, the inverse in the cyclotomic
+// subgroup, for a -1 digit. No table to build, unlike pow_cyclotomic's
+// 4-bit window.
 Fp12 pow_u(const Fp12& f) {
-  static const std::array<uint64_t, 1> u_limb = {kBnU};
-  return f.pow_cyclotomic(u_limb);
+  static const std::vector<int8_t> naf = compute_naf(kBnU);
+  const Fp12 f_inv = f.conjugate();
+  Fp12 r = f;  // the top NAF digit is +1
+  for (size_t i = naf.size() - 1; i-- > 0;) {
+    r = r.cyclotomic_squared();
+    if (naf[i] == 1)
+      r = r * f;
+    else if (naf[i] == -1)
+      r = r * f_inv;
+  }
+  return r;
 }
 }  // namespace
 

@@ -39,7 +39,7 @@ dkg::Config AggregateScheme::dkg_config(size_t n, size_t t) const {
   RoScheme base(params_);
   dkg::Config cfg = base.dkg_config(n, t);
   const G1Affine g = params_.g1_g, h = params_.g1_h;
-  const G2Affine gz = params_.g_z, gr = params_.g_r;
+  std::shared_ptr<const GeneratorTables> tables = params_.tables;
   // Extra round-1 broadcast: (Z_i0, R_i0) = (g^{-a_i10} h^{-a_i20},
   // g^{-b_i10} h^{-b_i20}) — constants layout is [A1, B1, A2, B2].
   cfg.extra_provider = [g, h](std::span<const Fr> constants) {
@@ -52,21 +52,18 @@ dkg::Config AggregateScheme::dkg_config(size_t n, size_t t) const {
     g1_serialize(r.to_affine(), w);
     return w.take();
   };
-  cfg.extra_validator = [g, h, gz, gr](std::span<const G2Affine> row0,
+  cfg.extra_validator = [g, h, tables](std::span<const G2Affine> row0,
                                        const Bytes& extra) {
     try {
       ByteReader rd(extra);
       G1Affine z = g1_deserialize(rd);
       G1Affine r = g1_deserialize(rd);
       if (!rd.empty()) return false;
-      // e(Z_i0, g^_z) e(R_i0, g^_r) e(g, W^_{i10}) e(h, W^_{i20}) == 1.
-      std::array<PairingTerm, 4> terms = {
-          PairingTerm{z, gz},
-          PairingTerm{r, gr},
-          PairingTerm{g, row0[0]},
-          PairingTerm{h, row0[1]},
-      };
-      return pairing_product_is_one(terms);
+      // e(Z_i0, g^_z) e(R_i0, g^_r) e(g, W^_{i10}) e(h, W^_{i20}) == 1: the
+      // Verify equation's shape, with (g, h) in place of the hash.
+      return RoShareVerifier(&tables->g_z, &tables->g_r,
+                             VerificationKey{{row0[0], row0[1]}})
+          .verify({g, h}, {0, z, r});
     } catch (const std::exception&) {
       return false;
     }
@@ -130,13 +127,11 @@ AggKeyMaterial AggregateScheme::dist_keygen(
 }
 
 bool AggregateScheme::key_sanity_check(const AggPublicKey& pk) const {
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{pk.big_z, params_.g_z},
-      PairingTerm{pk.big_r, params_.g_r},
-      PairingTerm{params_.g1_g, pk.g[0]},
-      PairingTerm{params_.g1_h, pk.g[1]},
-  };
-  return pairing_product_is_one(terms);
+  // e(Z, g^_z) e(R, g^_r) e(g, g^_1) e(h, g^_2) == 1: the Verify equation's
+  // shape, with (g, h) in place of the hash.
+  const GeneratorTables& gen = *params_.tables;
+  return RoShareVerifier(&gen.g_z, &gen.g_r, VerificationKey{pk.g})
+      .verify({params_.g1_g, params_.g1_h}, {0, pk.big_z, pk.big_r});
 }
 
 std::array<G1Affine, 2> AggregateScheme::hash_message(
@@ -171,13 +166,10 @@ bool AggregateScheme::share_verify(const AggPublicKey& pk,
 bool AggregateScheme::share_verify(const VerificationKey& vk,
                                    const std::array<G1Affine, 2>& h,
                                    const PartialSignature& sig) const {
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params_.g_z},
-      PairingTerm{sig.r, params_.g_r},
-      PairingTerm{h[0], vk.v[0]},
-      PairingTerm{h[1], vk.v[1]},
-  };
-  return pairing_product_is_one(terms);
+  // The main scheme's equation: the g^_z/g^_r lines come from the params'
+  // shared tables, and only the two key elements are prepared here.
+  const GeneratorTables& gen = *params_.tables;
+  return RoShareVerifier(&gen.g_z, &gen.g_r, vk).verify(h, sig);
 }
 
 Signature AggregateScheme::combine(const AggKeyMaterial& km,
@@ -203,14 +195,8 @@ Signature AggregateScheme::combine(const AggKeyMaterial& km,
 bool AggregateScheme::verify(const AggPublicKey& pk,
                              std::span<const uint8_t> msg,
                              const Signature& sig) const {
-  auto h = hash_message(pk, msg);
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params_.g_z},
-      PairingTerm{sig.r, params_.g_r},
-      PairingTerm{h[0], pk.g[0]},
-      PairingTerm{h[1], pk.g[1]},
-  };
-  return pairing_product_is_one(terms);
+  return share_verify(VerificationKey{pk.g}, hash_message(pk, msg),
+                      {0, sig.z, sig.r});
 }
 
 std::optional<AggregateSignature> AggregateScheme::aggregate(
@@ -232,15 +218,20 @@ bool AggregateScheme::aggregate_verify(
     std::span<const AggStatement> statements,
     const AggregateSignature& sig) const {
   if (statements.empty()) return false;
-  std::vector<PairingTerm> terms;
+  const GeneratorTables& gen = *params_.tables;
+  std::vector<G2Prepared> keys;  // reserved: terms point into it
+  keys.reserve(2 * statements.size());
+  std::vector<PreparedTerm> terms;
   terms.reserve(2 + 2 * statements.size());
-  terms.push_back({sig.z, params_.g_z});
-  terms.push_back({sig.r, params_.g_r});
+  terms.push_back({sig.z, &gen.g_z});
+  terms.push_back({sig.r, &gen.g_r});
   for (const auto& st : statements) {
     if (!key_sanity_check(st.pk)) return false;
     auto h = hash_message(st.pk, st.message);
-    terms.push_back({h[0], st.pk.g[0]});
-    terms.push_back({h[1], st.pk.g[1]});
+    for (size_t k = 0; k < 2; ++k) {
+      keys.emplace_back(st.pk.g[k]);
+      terms.push_back({h[k], &keys.back()});
+    }
   }
   return pairing_product_is_one(terms);
 }

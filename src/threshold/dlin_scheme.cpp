@@ -190,13 +190,11 @@ bool DlinScheme::share_verify(const DlinVerificationKey& vk,
 bool DlinScheme::share_verify(const DlinVerificationKey& vk,
                               const std::array<G1Affine, 3>& h,
                               const DlinPartialSignature& sig) const {
-  std::vector<PairingTerm> eq1 = {{sig.z, params_.g_z}, {sig.r, params_.g_r}};
-  std::vector<PairingTerm> eq2 = {{sig.z, params_.h_z}, {sig.u, params_.h_u}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], vk.u[k]});
-    eq2.push_back({h[k], vk.z[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
+  // The four generator lines come from the params' shared tables; only the
+  // six key elements are prepared here.
+  const GeneratorTables& gen = *params_.tables;
+  return DlinShareVerifier(&gen.g_z, &gen.g_r, &gen.h_z, &gen.h_u, vk)
+      .verify(h, sig);
 }
 
 namespace {
@@ -234,14 +232,9 @@ DlinSignature DlinScheme::combine(
 
 bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
                         const DlinSignature& sig) const {
-  auto h = hash_message(msg);
-  std::vector<PairingTerm> eq1 = {{sig.z, params_.g_z}, {sig.r, params_.g_r}};
-  std::vector<PairingTerm> eq2 = {{sig.z, params_.h_z}, {sig.u, params_.h_u}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], pk.g[k]});
-    eq2.push_back({h[k], pk.h[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
+  // Verify is Share-Verify at index 0 against the committee key.
+  return share_verify(DlinVerificationKey{pk.g, pk.h}, hash_message(msg),
+                      {0, sig.z, sig.r, sig.u});
 }
 
 // ---------------------------------------------------------------------------

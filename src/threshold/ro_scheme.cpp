@@ -185,13 +185,10 @@ bool RoScheme::share_verify(const VerificationKey& vk,
 bool RoScheme::share_verify(const VerificationKey& vk,
                             const std::array<G1Affine, 2>& h,
                             const PartialSignature& sig) const {
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params_.g_z},
-      PairingTerm{sig.r, params_.g_r},
-      PairingTerm{h[0], vk.v[0]},
-      PairingTerm{h[1], vk.v[1]},
-  };
-  return pairing_product_is_one(terms);
+  // The g^_z/g^_r lines come from the params' shared tables; only the two
+  // key elements are prepared here.
+  const GeneratorTables& gen = *params_.tables;
+  return RoShareVerifier(&gen.g_z, &gen.g_r, vk).verify(h, sig);
 }
 
 Signature RoScheme::combine_unchecked(
@@ -229,14 +226,9 @@ Signature RoScheme::combine(const KeyMaterial& km,
 
 bool RoScheme::verify(const PublicKey& pk, std::span<const uint8_t> msg,
                       const Signature& sig) const {
-  auto h = hash_message(msg);
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params_.g_z},
-      PairingTerm{sig.r, params_.g_r},
-      PairingTerm{h[0], pk.g[0]},
-      PairingTerm{h[1], pk.g[1]},
-  };
-  return pairing_product_is_one(terms);
+  // Verify is Share-Verify at index 0 against the committee key.
+  return share_verify(VerificationKey{pk.g}, hash_message(msg),
+                      {0, sig.z, sig.r});
 }
 
 // ---------------------------------------------------------------------------

@@ -54,6 +54,56 @@ TEST(U256, AddSubInverse) {
   }
 }
 
+TEST(U256, CarryAndBorrowOutOnAllOnesLimbs) {
+  constexpr uint64_t kOnes = ~uint64_t(0);
+  const U256 ones{{kOnes, kOnes, kOnes, kOnes}};
+  U256 out;
+  EXPECT_EQ(U256::add(ones, U256::one(), out), 1u);
+  EXPECT_EQ(out, U256::zero());
+  EXPECT_EQ(U256::add(ones, ones, out), 1u);
+  EXPECT_EQ(out, (U256{{kOnes - 1, kOnes, kOnes, kOnes}}));
+  EXPECT_EQ(U256::sub(U256::zero(), U256::one(), out), 1u);
+  EXPECT_EQ(out, ones);
+  EXPECT_EQ(U256::sub(U256::zero(), ones, out), 1u);
+  EXPECT_EQ(out, U256::one());
+  EXPECT_EQ(U256::sub(ones, ones, out), 0u);
+  EXPECT_EQ(out, U256::zero());
+  // A carry or borrow that crosses three limbs stops in the fourth.
+  const U256 low3{{kOnes, kOnes, kOnes, 0}}, top{{0, 0, 0, 1}};
+  EXPECT_EQ(U256::add(low3, U256::one(), out), 0u);
+  EXPECT_EQ(out, top);
+  EXPECT_EQ(U256::sub(top, U256::one(), out), 0u);
+  EXPECT_EQ(out, low3);
+  // In place, as Mont::is_square calls it.
+  out = ones;
+  EXPECT_EQ(U256::add(out, U256::one(), out), 1u);
+  EXPECT_EQ(out, U256::zero());
+  // The single-limb links with a carry or borrow in.
+  uint64_t limb = 0;
+  EXPECT_EQ(addc(1, kOnes, kOnes, limb), 1);
+  EXPECT_EQ(limb, kOnes);
+  EXPECT_EQ(addc(1, kOnes, 0, limb), 1);
+  EXPECT_EQ(limb, 0u);
+  EXPECT_EQ(subb(1, 0, kOnes, limb), 1);
+  EXPECT_EQ(limb, 0u);
+  EXPECT_EQ(subb(1, kOnes, kOnes, limb), 1);
+  EXPECT_EQ(limb, kOnes);
+}
+
+// Constant evaluation takes the portable formula (the carry intrinsics are
+// not constexpr); it must agree with the run-time chains tested above.
+static_assert([] {
+  constexpr uint64_t kOnes = ~uint64_t(0);
+  const U256 ones{{kOnes, kOnes, kOnes, kOnes}};
+  U256 sum, diff;
+  uint64_t limb = 0;
+  return U256::add(ones, ones, sum) == 1 &&
+         sum == U256{{kOnes - 1, kOnes, kOnes, kOnes}} &&
+         U256::sub(U256::zero(), ones, diff) == 1 && diff == U256::one() &&
+         addc(1, kOnes, kOnes, limb) == 1 && limb == kOnes &&
+         subb(1, kOnes, kOnes, limb) == 1 && limb == kOnes;
+}());
+
 TEST(U256, BitLength) {
   EXPECT_EQ(U256::zero().bit_length(), 0u);
   EXPECT_EQ(U256::one().bit_length(), 1u);

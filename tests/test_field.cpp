@@ -45,6 +45,74 @@ void check_prime_field_axioms(std::string_view seed) {
 TEST(Fp, Axioms) { check_prime_field_axioms<Fp>("fp-axioms"); }
 TEST(Fr, Axioms) { check_prime_field_axioms<Fr>("fr-axioms"); }
 
+// ---------------------------------------------------------------------------
+// Kernel differential tests: +, -, unary -, doubled, * and squared against
+// BigUint arithmetic mod the modulus, over every ordered pair from a set of
+// carry and borrow edges plus random elements. Each edge enters twice: as an
+// element's value and as its Montgomery word, which is what the kernels add
+// and multiply. Results are compared with from_u256(expected), and
+// operator== compares Montgomery words, so outputs must also be canonical.
+
+template <class F>
+std::vector<BigUint> kernel_values(std::string_view seed) {
+  const BigUint p(F::kMod), one(1);
+  const std::vector<BigUint> edges = {
+      BigUint(0),       one,
+      BigUint(2),       p - one,
+      p - BigUint(2),   (p - one) >> 1,
+      (p + one) >> 1,   BigUint(~uint64_t(0)) % p,  // 2^64 - 1
+      (one << 128) % p, (one << 192) % p,
+      (one << 253) % p};
+  // The element whose Montgomery word is w has the value w / 2^256 mod p.
+  const BigUint r_inv = BigUint::mod_inverse((one << 256) % p, p);
+  std::vector<BigUint> values = edges;
+  for (const BigUint& w : edges)
+    values.push_back(BigUint::mod_mul(w, r_inv, p));
+  Rng rng(seed);
+  for (int i = 0; i < 6; ++i) values.push_back(BigUint::random_below(rng, p));
+  return values;
+}
+
+template <class F>
+void check_kernels_against_biguint(std::string_view seed) {
+  const BigUint p(F::kMod), r = BigUint(1) << 256;
+  const BigUint r_mod_p = r % p, p_inv = BigUint::mod_inverse(p, r);
+  auto elem = [](const BigUint& v) { return F::from_u256(v.to_u256()); };
+  auto word = [&](const BigUint& v) { return BigUint::mod_mul(v, r_mod_p, p); };
+  size_t sums_to_p = 0, wide_products = 0;
+  const std::vector<BigUint> values = kernel_values<F>(seed);
+  for (const BigUint& a : values) {
+    const F fa = elem(a);
+    EXPECT_EQ(-fa, elem((p - a) % p)) << a.to_hex();
+    EXPECT_EQ(fa.doubled(), elem((a + a) % p)) << a.to_hex();
+    EXPECT_EQ(fa.squared(), elem((a * a) % p)) << a.to_hex();
+    for (const BigUint& b : values) {
+      const F fb = elem(b);
+      EXPECT_EQ(fa + fb, elem((a + b) % p)) << a.to_hex() << " " << b.to_hex();
+      EXPECT_EQ(fa - fb, elem((a + p - b) % p))
+          << a.to_hex() << " " << b.to_hex();
+      EXPECT_EQ(fa * fb, elem((a * b) % p)) << a.to_hex() << " " << b.to_hex();
+      // Coverage of the corrections' edges: word sums equal to p exactly,
+      // and products whose CIOS value (x y + m p) / 2^256 before the final
+      // subtraction, with m = -x y / p mod 2^256, lies in [p, 2p).
+      const BigUint x = word(a), y = word(b);
+      if (x + y == p) ++sums_to_p;
+      const BigUint xy = x * y;
+      const BigUint m = (r - BigUint::mod_mul(xy % r, p_inv, r)) % r;
+      if (((xy + m * p) >> 256) >= p) ++wide_products;
+    }
+  }
+  EXPECT_GT(sums_to_p, 0u);
+  EXPECT_GT(wide_products, 0u);
+}
+
+TEST(Fp, KernelsMatchBigUintOnCarryEdges) {
+  check_kernels_against_biguint<Fp>("fp-kernels");
+}
+TEST(Fr, KernelsMatchBigUintOnCarryEdges) {
+  check_kernels_against_biguint<Fr>("fr-kernels");
+}
+
 TEST(Fp, MontgomeryConstants) {
   // R = 2^256 mod p, computed two ways.
   BigUint p(FpTag::kModulus);
