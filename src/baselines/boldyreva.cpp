@@ -69,31 +69,14 @@ bool BoldyrevaBls::share_verify(const G2Affine& vk, const G1Affine& neg_h,
                                 const BlsPartialSignature& psig) const {
   // The G2-generator lines come from the params' shared table; only vk is
   // prepared here.
-  const G2Prepared key(vk);
-  std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{psig.sigma, &params_.tables->g2},
-      PreparedTerm{neg_h, &key},
-  };
-  return pairing_product_is_one(terms);
+  return BlsShareVerifier(params_, vk).verify(neg_h, psig);
 }
 
 G1Affine BoldyrevaBls::combine(const BlsKeyMaterial& km,
                                std::span<const uint8_t> msg,
                                std::span<const BlsPartialSignature> parts,
                                std::vector<uint32_t>* cheaters) const {
-  G1Affine neg_h = -hash_message(msg);  // hashed ONCE for every check
-  return threshold::optimistic_combine(
-      km.n, km.t, parts,
-      [&](std::span<const BlsPartialSignature> head) {
-        return combine_unchecked(km.t, head);
-      },
-      [&](const G1Affine& sig) {
-        return share_verify(km.pk.pk, neg_h, {0, sig});
-      },
-      [&](const BlsPartialSignature& p) {
-        return share_verify(km.vks[p.index - 1], neg_h, p);
-      },
-      cheaters);
+  return BlsCombiner(*this, km).combine(msg, parts, cheaters);
 }
 
 G1Affine BoldyrevaBls::combine_unchecked(
@@ -116,32 +99,67 @@ bool BoldyrevaBls::verify(const BlsPublicKey& pk,
 }
 
 // ---------------------------------------------------------------------------
-// Cached verification
+// Cached verification and Combine
+
+BlsShareVerifier::BlsShareVerifier(const threshold::SystemParams& params,
+                                   const G2Affine& vk)
+    : gen_(params.tables.get()), vk_(vk) {}
+
+std::array<PreparedTerm, 2> BlsShareVerifier::terms(
+    const G1Affine& neg_h, const BlsPartialSignature& psig) const {
+  return {PreparedTerm{psig.sigma, &gen_->g2}, PreparedTerm{neg_h, &vk_}};
+}
+
+bool BlsShareVerifier::verify(const G1Affine& neg_h,
+                              const BlsPartialSignature& psig) const {
+  return pairing_product_is_one(terms(neg_h, psig));
+}
 
 BlsVerifier::BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk)
-    : scheme_(scheme), pk_(pk.pk) {}
-
-std::array<PreparedTerm, 2> BlsVerifier::terms(std::span<const uint8_t> msg,
-                                               const G1Affine& sig) const {
-  return {PreparedTerm{sig, &scheme_.params().tables->g2},
-          PreparedTerm{-scheme_.hash_message(msg), &pk_}};
-}
+    : scheme_(scheme), key_(scheme_.params(), pk.pk) {}
 
 bool BlsVerifier::verify(std::span<const uint8_t> msg,
                          const G1Affine& sig) const {
-  return pairing_product_is_one(terms(msg, sig));
+  return key_.verify(-scheme_.hash_message(msg), {0, sig});
 }
 
 void BlsVerifier::add_to_fold(threshold::FoldBuilder& fold,
                               std::span<const uint8_t> msg,
                               const G1Affine& sig) const {
-  fold.add({terms(msg, sig)});
+  fold.add({key_.terms(-scheme_.hash_message(msg), {0, sig})});
 }
 
 bool BlsVerifier::batch_verify(std::span<const Bytes> msgs,
                                std::span<const G1Affine> sigs,
                                Rng& rng) const {
   return threshold::fold_batch(*this, msgs, sigs, rng);
+}
+
+BlsCombiner::BlsCombiner(const BoldyrevaBls& scheme, const BlsKeyMaterial& km)
+    : BlsCombiner(scheme, km.n, km.t, km.pk, km.vks) {}
+
+BlsCombiner::BlsCombiner(const BoldyrevaBls& scheme, size_t n, size_t t,
+                         const BlsPublicKey& pk, std::vector<G2Affine> vks)
+    : scheme_(scheme),
+      n_(n),
+      t_(t),
+      key_(scheme_.params(), pk.pk),
+      vks_(std::move(vks)) {}
+
+G1Affine BlsCombiner::combine(std::span<const uint8_t> msg,
+                              std::span<const BlsPartialSignature> parts,
+                              std::vector<uint32_t>* cheaters) const {
+  G1Affine neg_h = -scheme_.hash_message(msg);  // hashed ONCE for every check
+  return threshold::optimistic_combine(
+      n_, t_, parts,
+      [&](std::span<const BlsPartialSignature> head) {
+        return scheme_.combine_unchecked(t_, head);
+      },
+      [&](const G1Affine& sig) { return key_.verify(neg_h, {0, sig}); },
+      [&](const BlsPartialSignature& p) {
+        return scheme_.share_verify(vks_[p.index - 1], neg_h, p);
+      },
+      cheaters);
 }
 
 }  // namespace bnr::baselines

@@ -67,7 +67,8 @@ class BoldyrevaBls {
 
   /// Optimistic Combine (threshold/combine.hpp): the interpolated signature
   /// is checked against km.pk, and Share-Verify runs only when that check
-  /// fails, appending bad indices to `cheaters`.
+  /// fails, appending bad indices to `cheaters`. Runs BlsCombiner's body on
+  /// a combiner built for this call.
   G1Affine combine(const BlsKeyMaterial& km, std::span<const uint8_t> msg,
                    std::span<const BlsPartialSignature> parts,
                    std::vector<uint32_t>* cheaters = nullptr) const;
@@ -85,10 +86,32 @@ class BoldyrevaBls {
   threshold::SystemParams params_;
 };
 
-/// Cached verifier for one BLS public key: prepared lines for pk, pointing
-/// at the params' shared G2-generator table, so Verify pays 2 prepared
-/// Miller evaluations + one final exponentiation, and a fold of N
-/// signatures under many keys shares one generator term.
+/// The prepared verification key at one index of the BLS sharing: player
+/// i's g2^{x_i}, or at index 0 the public key g2^x. Owns its one prepared
+/// line table and points at the params' shared G2-generator table (whoever
+/// builds it keeps those params alive). terms() is the one place the
+/// equation e(sigma, g2) e(-H(M), vk) == 1 is assembled, for Share-Verify,
+/// Verify and Combine's check alike.
+class BlsShareVerifier {
+ public:
+  BlsShareVerifier(const threshold::SystemParams& params, const G2Affine& vk);
+
+  /// `neg_h` is the negated hash -H(M).
+  std::array<PreparedTerm, 2> terms(const G1Affine& neg_h,
+                                    const BlsPartialSignature& psig) const;
+  bool verify(const G1Affine& neg_h, const BlsPartialSignature& psig) const;
+
+  size_t line_bytes() const { return vk_.line_bytes(); }
+
+ private:
+  const threshold::GeneratorTables* gen_;
+  G2Prepared vk_;
+};
+
+/// Cached verifier for one BLS public key: the scheme's hash plus the key
+/// at index 0, so Verify pays 2 prepared Miller evaluations + one final
+/// exponentiation, and a fold of N signatures under many keys shares one
+/// generator term.
 class BlsVerifier {
  public:
   BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk);
@@ -102,14 +125,41 @@ class BlsVerifier {
 
   /// Resident footprint (object + the one owned line table) for the
   /// KeyCacheManager byte budget.
-  size_t cache_bytes() const { return sizeof(*this) + pk_.line_bytes(); }
+  size_t cache_bytes() const { return sizeof(*this) + key_.line_bytes(); }
 
  private:
-  std::array<PreparedTerm, 2> terms(std::span<const uint8_t> msg,
-                                    const G1Affine& sig) const;
-
   BoldyrevaBls scheme_;  // its params own the shared generator table
-  G2Prepared pk_;
+  BlsShareVerifier key_;
+};
+
+/// Serving-side Combine engine for a BLS committee: the public key's line
+/// table prepared and the players' affine verification keys. combine()
+/// checks the interpolated signature against the prepared key (a 2-term
+/// product at any t); the fallback scan Share-Verifies through
+/// BoldyrevaBls::share_verify, which prepares the checked partial's key
+/// table (threshold/combine.hpp). BoldyrevaBls::combine runs this body.
+class BlsCombiner {
+ public:
+  BlsCombiner(const BoldyrevaBls& scheme, const BlsKeyMaterial& km);
+  /// `vks[i-1]` is player i's verification key.
+  BlsCombiner(const BoldyrevaBls& scheme, size_t n, size_t t,
+              const BlsPublicKey& pk, std::vector<G2Affine> vks);
+
+  /// Optimistic Combine; the same output as BoldyrevaBls::combine.
+  G1Affine combine(std::span<const uint8_t> msg,
+                   std::span<const BlsPartialSignature> parts,
+                   std::vector<uint32_t>* cheaters = nullptr) const;
+
+  size_t cache_bytes() const {
+    return sizeof(*this) + key_.line_bytes() +
+           vks_.capacity() * sizeof(G2Affine);
+  }
+
+ private:
+  BoldyrevaBls scheme_;  // its params own the shared generator table
+  size_t n_ = 0, t_ = 0;
+  BlsShareVerifier key_;  // the public key: the verification key at index 0
+  std::vector<G2Affine> vks_;  // index i-1 -> player i
 };
 
 }  // namespace bnr::baselines

@@ -1252,6 +1252,10 @@ obs::MetricsSnapshot RpcServer::metrics_snapshot(bool include_traces) const {
   obs::MetricsSnapshot m;
   DaemonStats s = snapshot_stats();
   HealthStats h = snapshot_health();
+  // One counter behind two series: take it from the STATS snapshot's one
+  // service lock, so bnr_verify_sheds_total and bnr_shed_in_service_total
+  // agree within every scrape.
+  h.shed_in_service = s.verify_sheds;
 
   using obs::MetricKind;
   auto point = [&m](std::string name, std::string labels, MetricKind kind,

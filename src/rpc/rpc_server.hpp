@@ -296,7 +296,7 @@ class RpcServer {
   // Lifetime counters that stay GLOBAL (any loop may write; stats read).
   // The per-loop slices (accepts, rejects, frames, protocol errors, busy /
   // shed) live in IoLoop and are summed exactly at snapshot time. Per-scheme
-  // slices are dense by SchemeId with an overflow slot for out-of-tree ids.
+  // slices are dense by SchemeId with an overflow slot for unknown ids.
   std::atomic<uint64_t> auth_failures_{0};
   std::array<std::atomic<uint64_t>, threshold::kSchemeIdCount + 1>
       deduped_by_scheme_{};

@@ -1,13 +1,15 @@
 // Multi-tenant key-cache manager: a sharded, thread-safe SEGMENTED LRU of
-// prepared verifier state (RoVerifier / DlinVerifier / BlsVerifier /
-// RoCombiner-style objects holding G2Prepared Miller-loop lines). Millions
-// of tenant keys do not fit at ~35KB per prepared RO verifier (its key's two
-// line tables; the generator tables are shared through SystemParams), so
-// the serving layer keeps a bounded working set and re-prepares on miss:
+// prepared per-key state: the erased verifiers and committee combiners,
+// each holding the G2Prepared Miller-loop lines of one key (a combiner
+// prepares its committee key only; the players' keys stay affine).
+// Millions of tenant keys do not fit at ~35KB per prepared RO verifier or
+// combiner (its key's two line tables; the generator tables are shared
+// through SystemParams), so the serving layer keeps a bounded working set
+// and re-prepares on miss:
 //
 //  * Eviction is by BYTE budget, not entry count — prepared footprints vary
-//    by scheme (a BLS verifier owns one prepared point, a DLIN verifier six),
-//    and the operator provisions RAM, not entries. Each shard owns
+//    by scheme (a BLS key owns one prepared point, a DLIN key six), and the
+//    operator provisions RAM, not entries. Each shard owns
 //    byte_budget / shards and evicts from its own LRU tails.
 //  * Admission is SEGMENTED (SLRU): a new entry lands in the PROBATION
 //    segment; only a second access promotes it to PROTECTED (capped at

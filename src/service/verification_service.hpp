@@ -261,7 +261,7 @@ class MultiTenantVerificationService {
   size_t idle_listener_token_ = 0;
   ServiceStats total_;
   // Dense per-scheme slices (id - 1); ids outside the built-in range fold
-  // into the overflow slot so an out-of-tree plugin never indexes OOB.
+  // into the overflow slot so an unknown id never indexes OOB.
   std::array<ServiceStats, threshold::kSchemeIdCount + 1> by_scheme_{};
   // Verify-latency histograms, one per scheme slot. Relaxed-atomic inside,
   // so recording happens OUTSIDE m_ on the worker.

@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "common/serde.hpp"
 #include "pairing/pairing.hpp"
-#include "threshold/combine.hpp"
 #include "threshold/fold.hpp"
 
 namespace bnr::threshold {
@@ -39,7 +38,6 @@ dkg::Config AggregateScheme::dkg_config(size_t n, size_t t) const {
   RoScheme base(params_);
   dkg::Config cfg = base.dkg_config(n, t);
   const G1Affine g = params_.g1_g, h = params_.g1_h;
-  std::shared_ptr<const GeneratorTables> tables = params_.tables;
   // Extra round-1 broadcast: (Z_i0, R_i0) = (g^{-a_i10} h^{-a_i20},
   // g^{-b_i10} h^{-b_i20}) — constants layout is [A1, B1, A2, B2].
   cfg.extra_provider = [g, h](std::span<const Fr> constants) {
@@ -52,8 +50,9 @@ dkg::Config AggregateScheme::dkg_config(size_t n, size_t t) const {
     g1_serialize(r.to_affine(), w);
     return w.take();
   };
-  cfg.extra_validator = [g, h, tables](std::span<const G2Affine> row0,
-                                       const Bytes& extra) {
+  cfg.extra_validator = [g, h, params = params_](
+                            std::span<const G2Affine> row0,
+                            const Bytes& extra) {
     try {
       ByteReader rd(extra);
       G1Affine z = g1_deserialize(rd);
@@ -61,8 +60,7 @@ dkg::Config AggregateScheme::dkg_config(size_t n, size_t t) const {
       if (!rd.empty()) return false;
       // e(Z_i0, g^_z) e(R_i0, g^_r) e(g, W^_{i10}) e(h, W^_{i20}) == 1: the
       // Verify equation's shape, with (g, h) in place of the hash.
-      return RoShareVerifier(&tables->g_z, &tables->g_r,
-                             VerificationKey{{row0[0], row0[1]}})
+      return RoShareVerifier(params, VerificationKey{{row0[0], row0[1]}})
           .verify({g, h}, {0, z, r});
     } catch (const std::exception&) {
       return false;
@@ -129,8 +127,7 @@ AggKeyMaterial AggregateScheme::dist_keygen(
 bool AggregateScheme::key_sanity_check(const AggPublicKey& pk) const {
   // e(Z, g^_z) e(R, g^_r) e(g, g^_1) e(h, g^_2) == 1: the Verify equation's
   // shape, with (g, h) in place of the hash.
-  const GeneratorTables& gen = *params_.tables;
-  return RoShareVerifier(&gen.g_z, &gen.g_r, VerificationKey{pk.g})
+  return RoShareVerifier(params_, VerificationKey{pk.g})
       .verify({params_.g1_g, params_.g1_h}, {0, pk.big_z, pk.big_r});
 }
 
@@ -168,28 +165,14 @@ bool AggregateScheme::share_verify(const VerificationKey& vk,
                                    const PartialSignature& sig) const {
   // The main scheme's equation: the g^_z/g^_r lines come from the params'
   // shared tables, and only the two key elements are prepared here.
-  const GeneratorTables& gen = *params_.tables;
-  return RoShareVerifier(&gen.g_z, &gen.g_r, vk).verify(h, sig);
+  return RoShareVerifier(params_, vk).verify(h, sig);
 }
 
 Signature AggregateScheme::combine(const AggKeyMaterial& km,
                                    std::span<const uint8_t> msg,
                                    std::span<const PartialSignature> parts,
                                    std::vector<uint32_t>* cheaters) const {
-  // Same equations as the main scheme; only the hash binds the key.
-  auto h = hash_message(km.pk, msg);  // hashed ONCE for every check
-  const VerificationKey key{km.pk.g};
-  const RoScheme base(params_);
-  return optimistic_combine(
-      km.n, km.t, parts,
-      [&](std::span<const PartialSignature> head) {
-        return base.combine_unchecked(km.t, head);
-      },
-      [&](const Signature& s) { return share_verify(key, h, {0, s.z, s.r}); },
-      [&](const PartialSignature& p) {
-        return share_verify(km.vks[p.index - 1], h, p);
-      },
-      cheaters);
+  return AggCombiner(*this, km).combine(msg, parts, cheaters);
 }
 
 bool AggregateScheme::verify(const AggPublicKey& pk,
@@ -237,37 +220,49 @@ bool AggregateScheme::aggregate_verify(
 }
 
 // ---------------------------------------------------------------------------
-// Cached verification
+// Cached verification and Combine
 
 AggVerifier::AggVerifier(const AggregateScheme& scheme, const AggPublicKey& pk)
     : scheme_(scheme),
       pk_(pk),
       key_valid_(scheme.key_sanity_check(pk)),
-      key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
-
-std::array<PreparedTerm, 4> AggVerifier::terms(
-    const std::array<G1Affine, 2>& h, const Signature& sig) const {
-  const GeneratorTables& gen = *scheme_.params().tables;
-  return {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r},
-          PreparedTerm{h[0], &key_[0]}, PreparedTerm{h[1], &key_[1]}};
-}
+      key_(scheme_.params(), VerificationKey{pk.g}) {}
 
 bool AggVerifier::verify(std::span<const uint8_t> msg,
                          const Signature& sig) const {
   if (!key_valid_) return false;
-  return pairing_product_is_one(terms(scheme_.hash_message(pk_, msg), sig));
+  return key_.verify(scheme_.hash_message(pk_, msg), {0, sig.z, sig.r});
 }
 
 void AggVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
                               const Signature& sig) const {
   if (!key_valid_) return fold.add_rejected();
-  fold.add({terms(scheme_.hash_message(pk_, msg), sig)});
+  fold.add({key_.terms(scheme_.hash_message(pk_, msg), {0, sig.z, sig.r})});
 }
 
 bool AggVerifier::batch_verify(std::span<const Bytes> msgs,
                                std::span<const Signature> sigs,
                                Rng& rng) const {
   return key_valid_ && fold_batch(*this, msgs, sigs, rng);
+}
+
+AggCombiner::AggCombiner(const AggregateScheme& scheme,
+                         const AggKeyMaterial& km)
+    : AggCombiner(scheme, km.n, km.t, km.pk, km.vks) {}
+
+AggCombiner::AggCombiner(const AggregateScheme& scheme, size_t n, size_t t,
+                         const AggPublicKey& pk,
+                         std::vector<VerificationKey> vks)
+    : scheme_(scheme),
+      pk_(pk),
+      ro_(RoScheme(scheme.params()), n, t, VerificationKey{pk.g},
+          std::move(vks)) {}
+
+Signature AggCombiner::combine(std::span<const uint8_t> msg,
+                               std::span<const PartialSignature> parts,
+                               std::vector<uint32_t>* cheaters) const {
+  // Same equations as the main scheme; only the hash binds the key.
+  return ro_.combine_hashed(scheme_.hash_message(pk_, msg), parts, cheaters);
 }
 
 }  // namespace bnr::threshold

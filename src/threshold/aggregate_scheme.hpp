@@ -80,7 +80,8 @@ class AggregateScheme {
                     const PartialSignature& sig) const;
   /// Optimistic Combine (threshold/combine.hpp) under H(PK || M): the
   /// interpolated signature is checked against km.pk, and Share-Verify runs
-  /// only when that check fails, appending bad indices to `cheaters`.
+  /// only when that check fails, appending bad indices to `cheaters`. Runs
+  /// AggCombiner's body on a combiner built for this call.
   Signature combine(const AggKeyMaterial& km, std::span<const uint8_t> msg,
                     std::span<const PartialSignature> parts,
                     std::vector<uint32_t>* cheaters = nullptr) const;
@@ -100,9 +101,9 @@ class AggregateScheme {
   SystemParams params_;
 };
 
-/// Cached verifier for one aggregation-enabled key: prepares the key's two
-/// G2 elements once (pointing at the params' shared g^_z/g^_r tables) AND
-/// runs the key-validity sanity check (itself a product of four pairings) a
+/// Cached verifier for one aggregation-enabled key: the hash H(PK || M)
+/// plus the key at index 0, the main scheme's prepared key. The
+/// key-validity sanity check (itself a product of four pairings) runs a
 /// single time at construction instead of per verify.
 class AggVerifier {
  public:
@@ -122,18 +123,38 @@ class AggVerifier {
 
   /// Resident footprint (object + the two owned line tables) for the
   /// KeyCacheManager byte budget.
-  size_t cache_bytes() const {
-    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
-  }
+  size_t cache_bytes() const { return sizeof(*this) + key_.line_bytes(); }
 
  private:
-  std::array<PreparedTerm, 4> terms(const std::array<G1Affine, 2>& h,
-                                    const Signature& sig) const;
-
   AggregateScheme scheme_;  // its params own the shared g^_z/g^_r tables
   AggPublicKey pk_;
   bool key_valid_ = false;
-  std::array<G2Prepared, 2> key_;  // g^_1, g^_2
+  RoShareVerifier key_;  // g^_1, g^_2
+};
+
+/// Serving-side Combine engine for an aggregation-enabled committee: the
+/// main scheme's RoCombiner under H(PK || M). It owns the committee key's
+/// two line tables and keeps the players' keys affine, like RoCombiner.
+class AggCombiner {
+ public:
+  AggCombiner(const AggregateScheme& scheme, const AggKeyMaterial& km);
+  /// `vks[i-1]` is player i's verification key.
+  AggCombiner(const AggregateScheme& scheme, size_t n, size_t t,
+              const AggPublicKey& pk, std::vector<VerificationKey> vks);
+
+  /// Optimistic Combine; the same output as AggregateScheme::combine.
+  Signature combine(std::span<const uint8_t> msg,
+                    std::span<const PartialSignature> parts,
+                    std::vector<uint32_t>* cheaters = nullptr) const;
+
+  size_t cache_bytes() const {
+    return sizeof(*this) - sizeof(ro_) + ro_.cache_bytes();
+  }
+
+ private:
+  AggregateScheme scheme_;
+  AggPublicKey pk_;
+  RoCombiner ro_;
 };
 
 }  // namespace bnr::threshold

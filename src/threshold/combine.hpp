@@ -1,6 +1,7 @@
 // Optimistic Combine: the one combine routine behind every combiner in the
-// repo (RO, DLIN, aggregate and Boldyreva BLS; the cached per-committee
-// combiners and the stateless scheme paths alike).
+// repo. Each scheme (RO, DLIN, aggregate and Boldyreva BLS) calls it from
+// one combiner class, which backs both the cached per-committee combiner
+// and the scheme's stateless combine.
 //
 // Combine (§3) is Lagrange interpolation in the exponent, and all COMBINE
 // promises is a signature valid under the committee key. One check of the

@@ -192,9 +192,7 @@ bool DlinScheme::share_verify(const DlinVerificationKey& vk,
                               const DlinPartialSignature& sig) const {
   // The four generator lines come from the params' shared tables; only the
   // six key elements are prepared here.
-  const GeneratorTables& gen = *params_.tables;
-  return DlinShareVerifier(&gen.g_z, &gen.g_r, &gen.h_z, &gen.h_u, vk)
-      .verify(h, sig);
+  return DlinShareVerifier(params_, vk).verify(h, sig);
 }
 
 namespace {
@@ -218,16 +216,7 @@ DlinSignature dlin_interpolate(std::span<const DlinPartialSignature> valid) {
 DlinSignature DlinScheme::combine(
     const DlinKeyMaterial& km, std::span<const uint8_t> msg,
     std::span<const DlinPartialSignature> parts) const {
-  auto h = hash_message(msg);  // hashed ONCE for every check
-  const DlinVerificationKey key{km.pk.g, km.pk.h};
-  return optimistic_combine(
-      km.n, km.t, parts, dlin_interpolate,
-      [&](const DlinSignature& s) {
-        return share_verify(key, h, {0, s.z, s.r, s.u});
-      },
-      [&](const DlinPartialSignature& p) {
-        return share_verify(km.vks[p.index - 1], h, p);
-      });
+  return DlinCombiner(*this, km).combine(msg, parts);
 }
 
 bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
@@ -238,35 +227,45 @@ bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
 }
 
 // ---------------------------------------------------------------------------
-// Cached verification
+// Cached verification and Combine
 
-DlinVerifier::DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk)
-    : scheme_(scheme),
-      g_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1]), G2Prepared(pk.g[2])},
-      h_{G2Prepared(pk.h[0]), G2Prepared(pk.h[1]), G2Prepared(pk.h[2])} {}
+DlinShareVerifier::DlinShareVerifier(const SystemParams& params,
+                                     const DlinVerificationKey& vk)
+    : gen_(params.tables.get()),
+      u_{G2Prepared(vk.u[0]), G2Prepared(vk.u[1]), G2Prepared(vk.u[2])},
+      z_{G2Prepared(vk.z[0]), G2Prepared(vk.z[1]), G2Prepared(vk.z[2])} {}
 
-DlinVerifier::Equations DlinVerifier::equations(
-    const std::array<G1Affine, 3>& h, const DlinSignature& sig) const {
-  const GeneratorTables& gen = *scheme_.params().tables;
+DlinShareVerifier::Equations DlinShareVerifier::equations(
+    const std::array<G1Affine, 3>& h, const DlinPartialSignature& sig) const {
   Equations eq;
-  eq[0] = {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r}};
-  eq[1] = {PreparedTerm{sig.z, &gen.h_z}, PreparedTerm{sig.u, &gen.h_u}};
+  eq[0] = {PreparedTerm{sig.z, &gen_->g_z}, PreparedTerm{sig.r, &gen_->g_r}};
+  eq[1] = {PreparedTerm{sig.z, &gen_->h_z}, PreparedTerm{sig.u, &gen_->h_u}};
   for (size_t k = 0; k < 3; ++k) {
-    eq[0][2 + k] = {h[k], &g_[k]};
-    eq[1][2 + k] = {h[k], &h_[k]};
+    eq[0][2 + k] = {h[k], &u_[k]};
+    eq[1][2 + k] = {h[k], &z_[k]};
   }
   return eq;
 }
 
+bool DlinShareVerifier::verify(const std::array<G1Affine, 3>& h,
+                               const DlinPartialSignature& sig) const {
+  const Equations eq = equations(h, sig);
+  return pairing_product_is_one(eq[0]) && pairing_product_is_one(eq[1]);
+}
+
+DlinVerifier::DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk)
+    : scheme_(scheme),
+      key_(scheme_.params(), DlinVerificationKey{pk.g, pk.h}) {}
+
 bool DlinVerifier::verify(std::span<const uint8_t> msg,
                           const DlinSignature& sig) const {
-  const Equations eq = equations(scheme_.hash_message(msg), sig);
-  return pairing_product_is_one(eq[0]) && pairing_product_is_one(eq[1]);
+  return key_.verify(scheme_.hash_message(msg), {0, sig.z, sig.r, sig.u});
 }
 
 void DlinVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
                                const DlinSignature& sig) const {
-  const Equations eq = equations(scheme_.hash_message(msg), sig);
+  const auto eq =
+      key_.equations(scheme_.hash_message(msg), {0, sig.z, sig.r, sig.u});
   fold.add({eq[0], eq[1]});
 }
 
@@ -276,64 +275,31 @@ bool DlinVerifier::batch_verify(std::span<const Bytes> msgs,
   return fold_batch(*this, msgs, sigs, rng);
 }
 
-// ---------------------------------------------------------------------------
-// Cached share verification / batched Combine
-
-DlinShareVerifier::DlinShareVerifier(const G2Prepared* g_z,
-                                     const G2Prepared* g_r,
-                                     const G2Prepared* h_z,
-                                     const G2Prepared* h_u,
-                                     const DlinVerificationKey& vk)
-    : g_z_(g_z),
-      g_r_(g_r),
-      h_z_(h_z),
-      h_u_(h_u),
-      u_{G2Prepared(vk.u[0]), G2Prepared(vk.u[1]), G2Prepared(vk.u[2])},
-      z_{G2Prepared(vk.z[0]), G2Prepared(vk.z[1]), G2Prepared(vk.z[2])} {}
-
-bool DlinShareVerifier::verify(const std::array<G1Affine, 3>& h,
-                               const DlinPartialSignature& sig) const {
-  std::vector<PreparedTerm> eq1 = {{sig.z, g_z_}, {sig.r, g_r_}};
-  std::vector<PreparedTerm> eq2 = {{sig.z, h_z_}, {sig.u, h_u_}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], &u_[k]});
-    eq2.push_back({h[k], &z_[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
-}
-
 DlinCombiner::DlinCombiner(const DlinScheme& scheme,
                            const DlinKeyMaterial& km)
-    : scheme_(scheme),
-      n_(km.n),
-      t_(km.t),
-      key_(&scheme_.params().tables->g_z, &scheme_.params().tables->g_r,
-           &scheme_.params().tables->h_z, &scheme_.params().tables->h_u,
-           DlinVerificationKey{km.pk.g, km.pk.h}) {
-  const GeneratorTables& gen = *scheme_.params().tables;
-  players_.reserve(km.n);
-  for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gen.g_z, &gen.g_r, &gen.h_z, &gen.h_u, km.vks[i]);
-}
+    : DlinCombiner(scheme, km.n, km.t, DlinVerificationKey{km.pk.g, km.pk.h},
+                   km.vks) {}
 
-bool DlinCombiner::share_verify(const std::array<G1Affine, 3>& h,
-                                const DlinPartialSignature& sig) const {
-  if (sig.index < 1 || sig.index > n_)
-    throw std::invalid_argument("DlinCombiner: partial index out of range");
-  return players_[sig.index - 1].verify(h, sig);
-}
+DlinCombiner::DlinCombiner(const DlinScheme& scheme, size_t n, size_t t,
+                           const DlinVerificationKey& key,
+                           std::vector<DlinVerificationKey> vks)
+    : scheme_(scheme),
+      n_(n),
+      t_(t),
+      key_(scheme_.params(), key),
+      vks_(std::move(vks)) {}
 
 DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,
                                     std::span<const DlinPartialSignature> parts,
                                     std::vector<uint32_t>* cheaters) const {
-  auto h = scheme_.hash_message(msg);
+  auto h = scheme_.hash_message(msg);  // hashed ONCE for every check
   return optimistic_combine(
       n_, t_, parts, dlin_interpolate,
       [&](const DlinSignature& s) {
         return key_.verify(h, {0, s.z, s.r, s.u});
       },
       [&](const DlinPartialSignature& p) {
-        return players_[p.index - 1].verify(h, p);
+        return scheme_.share_verify(vks_[p.index - 1], h, p);
       },
       cheaters);
 }

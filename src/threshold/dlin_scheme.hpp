@@ -95,7 +95,8 @@ class DlinScheme {
   /// partials with distinct indices and returns that signature if both
   /// verification equations hold under km.pk; otherwise Share-Verifies
   /// partials in input order and interpolates the first t+1 valid ones.
-  /// Throws std::runtime_error if fewer than t+1 valid shares remain.
+  /// Throws std::runtime_error if fewer than t+1 valid shares remain. Runs
+  /// DlinCombiner's body on a combiner built for this call.
   DlinSignature combine(const DlinKeyMaterial& km,
                         std::span<const uint8_t> msg,
                         std::span<const DlinPartialSignature> parts) const;
@@ -109,46 +110,22 @@ class DlinScheme {
 
 class FoldBuilder;  // threshold/fold.hpp
 
-/// Cached verifier for the DLIN variant: prepares the six key elements
-/// once and points at the params' shared g^_z, g^_r, h^_z, h^_u tables. In
-/// a fold, each signature adds BOTH verification equations, each with its
-/// own 128-bit coefficient.
-class DlinVerifier {
- public:
-  DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk);
-
-  bool verify(std::span<const uint8_t> msg, const DlinSignature& sig) const;
-  void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
-                   const DlinSignature& sig) const;
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const DlinSignature> sigs, Rng& rng) const;
-
-  /// Resident footprint (object + the six owned line tables) for the
-  /// KeyCacheManager byte budget.
-  size_t cache_bytes() const {
-    size_t b = sizeof(*this);
-    for (size_t k = 0; k < 3; ++k) b += g_[k].line_bytes() + h_[k].line_bytes();
-    return b;
-  }
-
- private:
-  using Equations = std::array<std::array<PreparedTerm, 5>, 2>;
-  Equations equations(const std::array<G1Affine, 3>& h,
-                      const DlinSignature& sig) const;
-
-  DlinScheme scheme_;  // its params own the shared generator tables
-  std::array<G2Prepared, 3> g_, h_;
-};
-
-/// Per-player cached share verifier for the DLIN variant: prepared lines of
-/// the six per-player key elements (U^_{k,i}, Z^_{k,i}); the four shared
-/// generators are non-owning pointers into the params' GeneratorTables.
+/// The prepared verification key at one index of the DLIN sharing: player
+/// i's (U^_{k,i}, Z^_{k,i}), or at index 0 the committee key (g^_k, h^_k).
+/// Owns the prepared lines of its six G2 elements and points at the params'
+/// shared g^_z, g^_r, h^_z, h^_u tables (whoever builds it keeps those
+/// params alive). equations() is the one place the two DLIN equations
+///   e(z, g^_z) e(r, g^_r) prod_k e(H_k, U^_k) == 1
+///   e(z, h^_z) e(u, h^_u) prod_k e(H_k, Z^_k) == 1
+/// are assembled, for Share-Verify, Verify and Combine's check alike.
 class DlinShareVerifier {
  public:
-  DlinShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
-                    const G2Prepared* h_z, const G2Prepared* h_u,
-                    const DlinVerificationKey& vk);
+  using Equations = std::array<std::array<PreparedTerm, 5>, 2>;
 
+  DlinShareVerifier(const SystemParams& params, const DlinVerificationKey& vk);
+
+  Equations equations(const std::array<G1Affine, 3>& h,
+                      const DlinPartialSignature& sig) const;
   bool verify(const std::array<G1Affine, 3>& h,
               const DlinPartialSignature& sig) const;
 
@@ -162,54 +139,66 @@ class DlinShareVerifier {
   }
 
  private:
-  const G2Prepared* g_z_;
-  const G2Prepared* g_r_;
-  const G2Prepared* h_z_;
-  const G2Prepared* h_u_;
+  const GeneratorTables* gen_;
   std::array<G2Prepared, 3> u_, z_;
 };
 
-/// Serving-side Combine engine for a DLIN committee: caches the prepared
-/// lines of the six committee-key elements and every player's six key
-/// elements, and points at the params' shared generator tables. combine()
-/// interpolates first and checks the one combined signature against the
-/// key, two 5-term prepared products at any t, and runs cached per-partial
-/// Share-Verify only when that check fails, to name cheaters
-/// (threshold/combine.hpp).
+/// Cached verifier for the DLIN variant: the scheme's hash plus the key at
+/// index 0. In a fold, each signature adds BOTH verification equations,
+/// each with its own 128-bit coefficient.
+class DlinVerifier {
+ public:
+  DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk);
+
+  bool verify(std::span<const uint8_t> msg, const DlinSignature& sig) const;
+  void add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
+                   const DlinSignature& sig) const;
+  bool batch_verify(std::span<const Bytes> msgs,
+                    std::span<const DlinSignature> sigs, Rng& rng) const;
+
+  /// Resident footprint (object + the six owned line tables) for the
+  /// KeyCacheManager byte budget.
+  size_t cache_bytes() const { return sizeof(*this) + key_.line_bytes(); }
+
+ private:
+  DlinScheme scheme_;  // its params own the shared generator tables
+  DlinShareVerifier key_;
+};
+
+/// Serving-side Combine engine for a DLIN committee: the committee key's
+/// six elements prepared and the players' affine verification keys.
+/// combine() interpolates first and checks the one combined signature
+/// against the key, two 5-term prepared products at any t; only when that
+/// check fails does the scan Share-Verify partials through
+/// DlinScheme::share_verify, which prepares the checked partial's six key
+/// tables (threshold/combine.hpp). DlinScheme::combine runs this same body.
 class DlinCombiner {
  public:
   DlinCombiner(const DlinScheme& scheme, const DlinKeyMaterial& km);
+  /// `vks[i-1]` is player i's verification key; `key` the committee's.
+  DlinCombiner(const DlinScheme& scheme, size_t n, size_t t,
+               const DlinVerificationKey& key,
+               std::vector<DlinVerificationKey> vks);
 
-  DlinCombiner(const DlinCombiner&) = delete;
-  DlinCombiner& operator=(const DlinCombiner&) = delete;
-
-  size_t n() const { return n_; }
-  size_t t() const { return t_; }
-
-  bool share_verify(const std::array<G1Affine, 3>& h,
-                    const DlinPartialSignature& sig) const;
-
-  /// Optimistic Combine with every G2 input prepared; the same output as
-  /// DlinScheme::combine. Appends the indices of bad partials found by the
-  /// fallback scan to `cheaters` when given.
+  /// Optimistic Combine; the same output as DlinScheme::combine. Appends
+  /// the indices of bad partials found by the fallback scan to `cheaters`
+  /// when given.
   DlinSignature combine(std::span<const uint8_t> msg,
                         std::span<const DlinPartialSignature> parts,
                         std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (the key's six lines + every player's six cached
-  /// key-element lines) for the KeyCacheManager byte budget.
+  /// Resident footprint (the key's six line tables + the players' affine
+  /// keys) for the KeyCacheManager byte budget, whatever n is.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + key_.line_bytes() +
-               players_.capacity() * sizeof(DlinShareVerifier);
-    for (const auto& p : players_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_.line_bytes() +
+           vks_.capacity() * sizeof(DlinVerificationKey);
   }
 
  private:
   DlinScheme scheme_;  // its params own the shared generator tables
   size_t n_ = 0, t_ = 0;
   DlinShareVerifier key_;  // the committee key: the verification key at 0
-  std::vector<DlinShareVerifier> players_;
+  std::vector<DlinVerificationKey> vks_;  // index i-1 -> player i
 };
 
 }  // namespace bnr::threshold

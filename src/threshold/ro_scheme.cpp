@@ -187,8 +187,7 @@ bool RoScheme::share_verify(const VerificationKey& vk,
                             const PartialSignature& sig) const {
   // The g^_z/g^_r lines come from the params' shared tables; only the two
   // key elements are prepared here.
-  const GeneratorTables& gen = *params_.tables;
-  return RoShareVerifier(&gen.g_z, &gen.g_r, vk).verify(h, sig);
+  return RoShareVerifier(params_, vk).verify(h, sig);
 }
 
 Signature RoScheme::combine_unchecked(
@@ -211,17 +210,7 @@ Signature RoScheme::combine_unchecked(
 Signature RoScheme::combine(const KeyMaterial& km,
                             std::span<const uint8_t> msg,
                             std::span<const PartialSignature> parts) const {
-  auto h = hash_message(msg);  // hashed ONCE for every check
-  const VerificationKey key{km.pk.g};
-  return optimistic_combine(
-      km.n, km.t, parts,
-      [&](std::span<const PartialSignature> head) {
-        return combine_unchecked(km.t, head);
-      },
-      [&](const Signature& s) { return share_verify(key, h, {0, s.z, s.r}); },
-      [&](const PartialSignature& p) {
-        return share_verify(km.vks[p.index - 1], h, p);
-      });
+  return RoCombiner(*this, km).combine(msg, parts);
 }
 
 bool RoScheme::verify(const PublicKey& pk, std::span<const uint8_t> msg,
@@ -257,26 +246,35 @@ void RoScheme::refresh(KeyMaterial& km, Rng& rng,
 }
 
 // ---------------------------------------------------------------------------
-// Cached verification
+// Cached verification and Combine
+
+RoShareVerifier::RoShareVerifier(const SystemParams& params,
+                                 const VerificationKey& vk)
+    : gen_(params.tables.get()),
+      vk_{G2Prepared(vk.v[0]), G2Prepared(vk.v[1])} {}
+
+std::array<PreparedTerm, 4> RoShareVerifier::terms(
+    const std::array<G1Affine, 2>& h, const PartialSignature& sig) const {
+  return {PreparedTerm{sig.z, &gen_->g_z}, PreparedTerm{sig.r, &gen_->g_r},
+          PreparedTerm{h[0], &vk_[0]}, PreparedTerm{h[1], &vk_[1]}};
+}
+
+bool RoShareVerifier::verify(const std::array<G1Affine, 2>& h,
+                             const PartialSignature& sig) const {
+  return pairing_product_is_one(terms(h, sig));
+}
 
 RoVerifier::RoVerifier(const RoScheme& scheme, const PublicKey& pk)
-    : scheme_(scheme), key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
-
-std::array<PreparedTerm, 4> RoVerifier::terms(const std::array<G1Affine, 2>& h,
-                                              const Signature& sig) const {
-  const GeneratorTables& gen = *scheme_.params().tables;
-  return {PreparedTerm{sig.z, &gen.g_z}, PreparedTerm{sig.r, &gen.g_r},
-          PreparedTerm{h[0], &key_[0]}, PreparedTerm{h[1], &key_[1]}};
-}
+    : scheme_(scheme), key_(scheme_.params(), VerificationKey{pk.g}) {}
 
 bool RoVerifier::verify(std::span<const uint8_t> msg,
                         const Signature& sig) const {
-  return pairing_product_is_one(terms(scheme_.hash_message(msg), sig));
+  return key_.verify(scheme_.hash_message(msg), {0, sig.z, sig.r});
 }
 
 void RoVerifier::add_to_fold(FoldBuilder& fold, std::span<const uint8_t> msg,
                              const Signature& sig) const {
-  fold.add({terms(scheme_.hash_message(msg), sig)});
+  fold.add({key_.terms(scheme_.hash_message(msg), {0, sig.z, sig.r})});
 }
 
 bool RoVerifier::batch_verify(std::span<const Bytes> msgs,
@@ -285,44 +283,27 @@ bool RoVerifier::batch_verify(std::span<const Bytes> msgs,
   return fold_batch(*this, msgs, sigs, rng);
 }
 
-RoShareVerifier::RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
-                                 const VerificationKey& vk)
-    : g_z_(g_z), g_r_(g_r), vk_{G2Prepared(vk.v[0]), G2Prepared(vk.v[1])} {}
-
-bool RoShareVerifier::verify(const std::array<G1Affine, 2>& h,
-                             const PartialSignature& sig) const {
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, g_z_},
-      PreparedTerm{sig.r, g_r_},
-      PreparedTerm{h[0], &vk_[0]},
-      PreparedTerm{h[1], &vk_[1]},
-  };
-  return pairing_product_is_one(terms);
-}
-
 RoCombiner::RoCombiner(const RoScheme& scheme, const KeyMaterial& km)
-    : scheme_(scheme),
-      n_(km.n),
-      t_(km.t),
-      key_(&scheme_.params().tables->g_z, &scheme_.params().tables->g_r,
-           VerificationKey{km.pk.g}) {
-  const GeneratorTables& gen = *scheme_.params().tables;
-  players_.reserve(km.n);
-  for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gen.g_z, &gen.g_r, km.vks[i]);
-}
+    : RoCombiner(scheme, km.n, km.t, VerificationKey{km.pk.g}, km.vks) {}
 
-bool RoCombiner::share_verify(const std::array<G1Affine, 2>& h,
-                              const PartialSignature& sig) const {
-  if (sig.index < 1 || sig.index > n_)
-    throw std::invalid_argument("RoCombiner: partial index out of range");
-  return players_[sig.index - 1].verify(h, sig);
-}
+RoCombiner::RoCombiner(const RoScheme& scheme, size_t n, size_t t,
+                       const VerificationKey& key,
+                       std::vector<VerificationKey> vks)
+    : scheme_(scheme),
+      n_(n),
+      t_(t),
+      key_(scheme_.params(), key),
+      vks_(std::move(vks)) {}
 
 Signature RoCombiner::combine(std::span<const uint8_t> msg,
                               std::span<const PartialSignature> parts,
                               std::vector<uint32_t>* cheaters) const {
-  auto h = scheme_.hash_message(msg);
+  return combine_hashed(scheme_.hash_message(msg), parts, cheaters);
+}
+
+Signature RoCombiner::combine_hashed(const std::array<G1Affine, 2>& h,
+                                     std::span<const PartialSignature> parts,
+                                     std::vector<uint32_t>* cheaters) const {
   return optimistic_combine(
       n_, t_, parts,
       [&](std::span<const PartialSignature> head) {
@@ -330,7 +311,7 @@ Signature RoCombiner::combine(std::span<const uint8_t> msg,
       },
       [&](const Signature& s) { return key_.verify(h, {0, s.z, s.r}); },
       [&](const PartialSignature& p) {
-        return players_[p.index - 1].verify(h, p);
+        return scheme_.share_verify(vks_[p.index - 1], h, p);
       },
       cheaters);
 }

@@ -105,7 +105,8 @@ class RoScheme {
   /// partials with distinct indices and returns that signature if it
   /// verifies under km.pk; otherwise Share-Verifies partials in input order
   /// and interpolates the first t+1 valid ones (robustness). Throws
-  /// std::runtime_error if fewer than t+1 valid shares remain.
+  /// std::runtime_error if fewer than t+1 valid shares remain. Runs
+  /// RoCombiner's body on a combiner built for this call.
   Signature combine(const KeyMaterial& km, std::span<const uint8_t> msg,
                     std::span<const PartialSignature> parts) const;
 
@@ -135,11 +136,40 @@ class RoScheme {
 
 class FoldBuilder;  // threshold/fold.hpp
 
-/// Cached verifier for one public key: holds the prepared Miller-loop line
-/// coefficients of the key's two G2 elements (g^_1, g^_2) and points at the
-/// params' shared g^_z/g^_r tables, so each Verify pays only line
-/// evaluations plus the shared final exponentiation. This is the hot-path
-/// object a serving deployment keeps per tenant key.
+/// The prepared verification key at one index of the sharing: player i's
+/// (V^_{1,i}, V^_{2,i}), or at index 0 the committee key (g^_1, g^_2), the
+/// verification key of the sharing polynomials' constant terms. Owns the
+/// prepared Miller-loop lines of its two G2 elements and points at the
+/// params' shared g^_z/g^_r tables (whoever builds it keeps those params
+/// alive), so a check pays only line evaluations and one final
+/// exponentiation. terms() is the one place the equation
+///   e(z, g^_z) e(r, g^_r) e(H_1, V^_1) e(H_2, V^_2) == 1
+/// is assembled: Share-Verify, Verify (index 0), Combine's check, and in the
+/// aggregation-enabled extension its key sanity check, all run it.
+class RoShareVerifier {
+ public:
+  RoShareVerifier(const SystemParams& params, const VerificationKey& vk);
+
+  std::array<PreparedTerm, 4> terms(const std::array<G1Affine, 2>& h,
+                                    const PartialSignature& sig) const;
+  bool verify(const std::array<G1Affine, 2>& h,
+              const PartialSignature& sig) const;
+
+  /// Heap bytes of the two owned line tables (the shared generator tables
+  /// belong to the params).
+  size_t line_bytes() const {
+    return vk_[0].line_bytes() + vk_[1].line_bytes();
+  }
+
+ private:
+  const GeneratorTables* gen_;
+  std::array<G2Prepared, 2> vk_;
+};
+
+/// Cached verifier for one public key: the scheme's hash plus the key at
+/// index 0, so each Verify pays only line evaluations plus the final
+/// exponentiation. This is the hot-path object a serving deployment keeps
+/// per tenant key.
 class RoVerifier {
  public:
   RoVerifier(const RoScheme& scheme, const PublicKey& pk);
@@ -160,90 +190,53 @@ class RoVerifier {
 
   /// Resident footprint (object + the two owned line tables): what one
   /// tenant key costs inside a KeyCacheManager byte budget.
-  size_t cache_bytes() const {
-    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
-  }
+  size_t cache_bytes() const { return sizeof(*this) + key_.line_bytes(); }
 
  private:
-  std::array<PreparedTerm, 4> terms(const std::array<G1Affine, 2>& h,
-                                    const Signature& sig) const;
-
-  RoScheme scheme_;  // its params own the shared g^_z/g^_r tables
-  std::array<G2Prepared, 2> key_;  // g^_1, g^_2
+  RoScheme scheme_;      // its params own the shared g^_z/g^_r tables
+  RoShareVerifier key_;  // g^_1, g^_2
 };
 
-/// Per-player cached share verifier: the prepared Miller-loop lines of one
-/// player's verification key (V^_{1,i}, V^_{2,i}). The g^_z/g^_r lines are
-/// identical for every player, so they are shared (non-owning pointers into
-/// the params' GeneratorTables, which the enclosing combiner's scheme keeps
-/// alive).
-class RoShareVerifier {
- public:
-  RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
-                  const VerificationKey& vk);
-
-  /// Share-Verify with every G2 input prepared: only line evaluations plus
-  /// the final exponentiation remain.
-  bool verify(const std::array<G1Affine, 2>& h,
-              const PartialSignature& sig) const;
-
-  /// Heap bytes of the two owned line tables (the shared generator tables
-  /// belong to the params).
-  size_t line_bytes() const {
-    return vk_[0].line_bytes() + vk_[1].line_bytes();
-  }
-
- private:
-  const G2Prepared* g_z_;
-  const G2Prepared* g_r_;
-  std::array<G2Prepared, 2> vk_;
-};
-
-/// Serving-side Combine engine for one committee: caches the prepared lines
-/// of the committee key (g^_1, g^_2) and of EVERY player's verification
-/// key, and points at the params' shared g^_z/g^_r tables. combine()
-/// interpolates first and checks the one combined signature against the
-/// key, a 4-term prepared product at any t,
-///   e(z, g^_z) e(r, g^_r) e(H_1, g^_1) e(H_2, g^_2) == 1,
-/// and runs cached per-partial Share-Verify only when that check fails, to
-/// name cheaters (threshold/combine.hpp).
+/// Serving-side Combine engine for one committee: the committee key
+/// prepared (the verification key at index 0) and the players' affine
+/// verification keys. combine() interpolates first and checks the one
+/// combined signature against the key, a 4-term prepared product at any t;
+/// only when that check fails does the scan Share-Verify partials through
+/// RoScheme::share_verify, which prepares the checked partial's two key
+/// tables (threshold/combine.hpp). RoScheme::combine and the
+/// aggregation-enabled extension's combiner run this same body.
 class RoCombiner {
  public:
   RoCombiner(const RoScheme& scheme, const KeyMaterial& km);
+  /// `vks[i-1]` is player i's verification key; `key` the committee's.
+  RoCombiner(const RoScheme& scheme, size_t n, size_t t,
+             const VerificationKey& key, std::vector<VerificationKey> vks);
 
-  RoCombiner(const RoCombiner&) = delete;
-  RoCombiner& operator=(const RoCombiner&) = delete;
-
-  size_t n() const { return n_; }
-  size_t t() const { return t_; }
-  const RoScheme& scheme() const { return scheme_; }
-
-  /// Cached per-partial Share-Verify (the fallback / cheater-identification
-  /// path). `sig.index` must be in [1, n].
-  bool share_verify(const std::array<G1Affine, 2>& h,
-                    const PartialSignature& sig) const;
-
-  /// Optimistic Combine with every G2 input prepared; the same output as
-  /// RoScheme::combine. Appends the indices of bad partials found by the
-  /// fallback scan to `cheaters` when given. Throws if fewer than t+1 valid.
+  /// Optimistic Combine; the same output as RoScheme::combine. Appends the
+  /// indices of bad partials found by the fallback scan to `cheaters` when
+  /// given. Throws if fewer than t+1 are valid.
   Signature combine(std::span<const uint8_t> msg,
                     std::span<const PartialSignature> parts,
                     std::vector<uint32_t>* cheaters = nullptr) const;
+  /// The same with the message already hashed (the aggregation-enabled
+  /// extension hashes H(PK || M)).
+  Signature combine_hashed(const std::array<G1Affine, 2>& h,
+                           std::span<const PartialSignature> parts,
+                           std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (object + the key's lines + every player's cached
-  /// VK lines): what one committee costs in a KeyCacheManager budget.
+  /// Resident footprint (object + the key's two line tables + the players'
+  /// affine keys): what one committee costs in a KeyCacheManager budget,
+  /// whatever n is.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + key_.line_bytes() +
-               players_.capacity() * sizeof(RoShareVerifier);
-    for (const auto& p : players_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_.line_bytes() +
+           vks_.capacity() * sizeof(VerificationKey);
   }
 
  private:
   RoScheme scheme_;  // its params own the shared g^_z/g^_r tables
   size_t n_ = 0, t_ = 0;
   RoShareVerifier key_;  // the committee key: the verification key at index 0
-  std::vector<RoShareVerifier> players_;  // index i-1 -> player i
+  std::vector<VerificationKey> vks_;  // index i-1 -> player i
 };
 
 }  // namespace bnr::threshold

@@ -7,8 +7,9 @@
 // group); this header is that shape as an interface, so the serving stack
 // (KeyCacheManager, MultiTenantVerificationService, RpcServer) is written
 // ONCE against `Scheme`/`PreparedVerifier` instead of once per scheme, and
-// a future scheme (std-model, a post-quantum slot) is a ~100-line plugin
-// instead of a fourth copy of the stack.
+// a future scheme (std-model, a post-quantum slot) is one more plugin class
+// (the four in scheme_registry.cpp are 63-69 lines each) instead of a
+// fifth copy of the stack.
 //
 // Contract highlights a plugin must honor:
 //
@@ -43,6 +44,11 @@
 //    attributed without rejecting honest shares. The built-in combiners all
 //    run the one routine in threshold/combine.hpp; partials whose errors
 //    cancel under interpolation yield a valid signature and are not named.
+//    Each scheme has one combiner class (RoCombiner, DlinCombiner,
+//    AggCombiner, BlsCombiner) behind both its stateless combine and its
+//    plugin (TypedPreparedCombiner below). It owns only the committee key's
+//    prepared tables; the players' keys stay affine, and the fallback scan
+//    prepares the keys of the partials it checks.
 #pragma once
 
 #include <functional>
@@ -53,6 +59,7 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "curve/g1.hpp"
 #include "pairing/pairing.hpp"
 
 namespace bnr::threshold {
@@ -73,12 +80,10 @@ constexpr size_t kSchemeIdCount = 4;
 std::string_view scheme_id_name(SchemeId id);
 
 /// Index of a scheme in dense per-scheme stats arrays of size
-/// kSchemeIdCount + 1: built-ins map to id - 1, anything else (out-of-tree
-/// plugins, the zero id) shares the overflow slot at the end. KNOWN
-/// LIMITATION: two or more extension plugins therefore share one merged
-/// stats row; serving behavior is unaffected, and promoting a plugin to a
-/// dedicated slot means appending its id to SchemeId and bumping
-/// kSchemeIdCount (the intended path for an in-tree scheme).
+/// kSchemeIdCount + 1: built-ins map to id - 1, anything else (the zero id,
+/// an id no built-in claims) lands in the overflow slot at the end, so an
+/// unknown id never indexes past the arrays. A new scheme appends its id to
+/// SchemeId and bumps kSchemeIdCount.
 inline size_t scheme_stats_slot(SchemeId id) {
   size_t raw = static_cast<size_t>(id);
   return (raw >= 1 && raw <= kSchemeIdCount) ? raw - 1 : kSchemeIdCount;
@@ -244,10 +249,11 @@ class Scheme {
 };
 
 // ---------------------------------------------------------------------------
-// Erasure helpers: wrap an existing typed signature / partial / combiner
-// into the erased interface. Used by tests/benches that construct scheme
-// objects directly. The typed-verifier adapter (erase_verifier) lives in
-// threshold/fold.hpp, next to the fold its add_to_fold feeds.
+// Erasure helpers: wrap a typed signature / partial / committee combiner
+// into the erased interface. The plugins build on them, and tests and
+// benches use them on scheme objects they construct directly. The
+// typed-verifier adapter (erase_verifier) lives in threshold/fold.hpp, next
+// to the fold its add_to_fold feeds.
 
 template <class Sig>
 SigHandle erase_signature(SchemeId id, Sig sig) {
@@ -259,15 +265,51 @@ PartialHandle erase_partial(SchemeId id, Part part) {
   return PartialHandle{id, std::make_shared<const Part>(std::move(part))};
 }
 
-class RoCombiner;  // ro_scheme.hpp
-class DlinCombiner;  // dlin_scheme.hpp
+/// Wraps a typed committee combiner (RoCombiner, DlinCombiner, AggCombiner,
+/// BlsCombiner: combine(msg, parts, cheaters) and cache_bytes) into the
+/// erased interface. Handles of another scheme are dropped before the typed
+/// combine sees them: they cannot carry a valid partial, and the t+1
+/// threshold then decides whether enough remain.
+template <class Combiner, class Part>
+class TypedPreparedCombiner final : public PreparedCombiner {
+ public:
+  TypedPreparedCombiner(SchemeId id, Combiner c)
+      : id_(id), c_(std::move(c)) {}
 
-/// Wraps an already-built RO / DLIN committee combiner into the erased
-/// interface (defined in scheme_registry.cpp, next to the plugins that use
-/// the same adapters).
-std::shared_ptr<const PreparedCombiner> erase_combiner(
-    std::shared_ptr<const RoCombiner> combiner);
-std::shared_ptr<const PreparedCombiner> erase_combiner(
-    std::shared_ptr<const DlinCombiner> combiner);
+  SchemeId scheme() const override { return id_; }
+
+  Bytes combine(std::span<const uint8_t> msg,
+                std::span<const PartialHandle> parts, Rng&,
+                const FoldEvaluator&,
+                std::vector<uint32_t>* cheaters) const override {
+    std::vector<Part> typed;
+    typed.reserve(parts.size());
+    for (const auto& p : parts)
+      if (p.scheme == id_ && p.obj)
+        typed.push_back(*static_cast<const Part*>(p.obj.get()));
+    const auto sig = c_.combine(msg, typed, cheaters);
+    if constexpr (requires { sig.serialize(); })
+      return sig.serialize();
+    else
+      return g1_to_bytes(sig);  // a BLS signature is one bare G1 point
+  }
+
+  size_t cache_bytes() const override {
+    // The typed footprint already counts sizeof(Combiner); add the erasure
+    // overhead (vptr + tag) on top.
+    return c_.cache_bytes() + (sizeof(*this) - sizeof(Combiner));
+  }
+
+ private:
+  SchemeId id_;
+  Combiner c_;
+};
+
+template <class Combiner, class Part>
+std::shared_ptr<const PreparedCombiner> erase_combiner(SchemeId id,
+                                                       Combiner c) {
+  return std::make_shared<const TypedPreparedCombiner<Combiner, Part>>(
+      id, std::move(c));
+}
 
 }  // namespace bnr::threshold

@@ -1,16 +1,11 @@
 // The scheme registry: constructs and owns one `Scheme` plugin instance per
-// registered factory for a given SystemParams, and is the single dispatch
-// point the serving stack (RpcServer, CLI smoke flows, conformance tests)
-// resolves SchemeId -> plugin through.
-//
-// The four built-ins (RO, DLIN, Agg, BLS) are registered unconditionally in
-// scheme_registry.cpp — explicit registration, not static-initializer
-// self-registration, because the latter is silently dropped for unreferenced
-// objects in a static library. Out-of-tree schemes extend the set with
-// register_factory() before the first SchemeRegistry is constructed.
+// built-in scheme (RO, DLIN, Agg, BLS) for a given SystemParams, and is the
+// single dispatch point the serving stack (RpcServer, CLI smoke flows,
+// conformance tests) resolves SchemeId -> plugin through. A new scheme is a
+// new plugin in scheme_registry.cpp, a new SchemeId, and one more line in
+// the constructor.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,11 +16,9 @@ namespace bnr::threshold {
 
 class SchemeRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Scheme>(const SystemParams&)>;
-
-  /// Instantiates every registered factory (built-ins + extensions) against
-  /// `params`. Group elements are only meaningful against one parameter set,
-  /// so a registry is per-params, like the schemes themselves.
+  /// Instantiates every built-in plugin against `params`. Group elements
+  /// are only meaningful against one parameter set, so a registry is
+  /// per-params, like the schemes themselves.
   explicit SchemeRegistry(const SystemParams& params);
 
   SchemeRegistry(const SchemeRegistry&) = delete;
@@ -40,11 +33,6 @@ class SchemeRegistry {
   const Scheme& at(SchemeId id) const;
 
   const std::vector<const Scheme*>& schemes() const { return view_; }
-
-  /// Global extension hook for out-of-tree plugins. Ids must be unique
-  /// (throws std::invalid_argument on a collision with a registered id).
-  /// Affects registries constructed AFTER the call.
-  static void register_factory(SchemeId id, Factory factory);
 
  private:
   std::vector<std::unique_ptr<Scheme>> owned_;

@@ -353,6 +353,59 @@ TEST_F(FaultsTest, ServiceShedsExpiredDeadlinesBeforeTheFold) {
   EXPECT_TRUE(client.verify("acme", msg, sig, sane).get());
 }
 
+// METRICS carries the in-service shed counter twice, as
+// bnr_verify_sheds_total and bnr_shed_in_service_total. Both come from one
+// service snapshot, so they agree in every scrape, also while the service
+// is shedding.
+TEST_F(FaultsTest, MetricsShedSeriesAgreeWhileShedding) {
+  ServerConfig cfg = base_cfg();
+  cfg.batch.max_delay = 20ms;   // every 5ms deadline expires in queue
+  cfg.batch.adaptive = false;   // pool-idle flush would beat the deadline
+  Daemon d(cfg);
+  auto km = keygen(3, 1);
+  RpcClient client("127.0.0.1", d.port());
+  EXPECT_FALSE(client.register_ro_committee("acme", km).get());
+  auto [msg, sig] = make_signed(km, "scrape while shedding");
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> unexpected{0};
+  std::thread load([&] {
+    RequestOptions tight;
+    tight.deadline = 5ms;
+    tight.max_attempts = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::vector<std::future<bool>> futs;
+      for (int j = 0; j < 8; ++j)
+        futs.push_back(client.verify("acme", msg, sig, tight));
+      for (auto& f : futs) {
+        try {
+          f.get();
+        } catch (const DeadlineExceeded&) {
+        } catch (...) {
+          unexpected.fetch_add(1);
+        }
+      }
+    }
+  });
+
+  RpcClient probe("127.0.0.1", d.port());
+  uint64_t sheds = 0;
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    const obs::MetricsSnapshot m = probe.metrics_sync(0);
+    const obs::MetricPoint* stats = m.find_point("bnr_verify_sheds_total");
+    const obs::MetricPoint* health = m.find_point("bnr_shed_in_service_total");
+    ASSERT_NE(stats, nullptr);
+    ASSERT_NE(health, nullptr);
+    ASSERT_EQ(stats->value, health->value) << "scrape " << scrape;
+    sheds = stats->value;
+    std::this_thread::sleep_for(1ms);
+  }
+  stop.store(true);
+  load.join();
+  EXPECT_GT(sheds, 0u);  // the scrapes overlapped in-service shedding
+  EXPECT_EQ(unexpected.load(), 0u);
+}
+
 // The global in-flight cap turns overload into attributable BUSY responses:
 // a no-retry client sees RetriesExhausted, a retrying client rides out the
 // congestion, and the connection never tears down.

@@ -1,8 +1,8 @@
 // Conformance suite for the scheme-plugin API: every test below is driven
 // GENERICALLY over every scheme the registry serves, so a new plugin
 // inherits the whole suite (serde round-trips, truncated/malformed
-// rejection, prepared-verifier semantics, combine, erased-tag safety) by
-// registering its factory — no new test code.
+// rejection, prepared-verifier semantics, combine, erased-tag safety) once
+// the registry constructs it — no new test code.
 #include <gtest/gtest.h>
 
 #include "baselines/boldyreva.hpp"
@@ -64,13 +64,6 @@ TEST_F(SchemeApiTest, RegistryResolvesEveryBuiltin) {
   EXPECT_EQ(registry().find(static_cast<SchemeId>(99)), nullptr);
   EXPECT_THROW(registry().at(static_cast<SchemeId>(99)), std::out_of_range);
   EXPECT_EQ(registry().find("no-such-scheme"), nullptr);
-  // A factory colliding with a registered id is rejected.
-  EXPECT_THROW(SchemeRegistry::register_factory(
-                   SchemeId::kRo,
-                   [](const SystemParams&) -> std::unique_ptr<Scheme> {
-                     return nullptr;
-                   }),
-               std::invalid_argument);
 }
 
 TEST_F(SchemeApiTest, SerdeRoundTripsEveryScheme) {
@@ -189,6 +182,30 @@ TEST_F(SchemeApiTest, VerifiersCountOnlyTheirOwnedTables) {
     const size_t erased = m.scheme->make_verifier(pk)->cache_bytes();
     EXPECT_GE(erased, typed_bytes);
     EXPECT_LT(erased, typed_bytes + 64);
+  }
+}
+
+TEST_F(SchemeApiTest, CombinersOwnOnlyTheCommitteeKeyTables) {
+  // A cached combiner owns the line tables of its committee key only: 2 for
+  // RO and Agg, 6 for DLIN, 1 for BLS, whatever n is. The players'
+  // verification keys stay affine (the fallback scan prepares the ones it
+  // checks), and the generator tables live in SystemParams::tables. So the
+  // bytes beyond the owned tables (object, erasure, affine keys) stay below
+  // one table at n = 3 and at n = 7.
+  const size_t table = G2Prepared(G2Curve::generator_affine()).line_bytes();
+  Rng rng("scheme-api-combiner-footprint");
+  for (const Scheme* s : registry().schemes()) {
+    SCOPED_TRACE(std::string(s->name()));
+    const size_t owned = s->id() == SchemeId::kDlin  ? 6
+                         : s->id() == SchemeId::kBls ? 1
+                                                     : 2;
+    for (size_t n : {3, 7}) {
+      SCOPED_TRACE(n);
+      const SchemeSample sample = s->make_sample(n, (n - 1) / 2, kMsg, rng);
+      const size_t bytes = s->make_combiner(sample.committee)->cache_bytes();
+      EXPECT_GE(bytes, owned * table);
+      EXPECT_LT(bytes, (owned + 1) * table);
+    }
   }
 }
 

@@ -182,12 +182,8 @@ TEST_F(CombinerFixture, CombinerMatchesSchemeCombine) {
 TEST_F(CombinerFixture, ShareVerifyAcceptsHonestRejectsTampered) {
   Bytes m = to_bytes("batch share verify");
   auto parts = partials(m, {1, 2, 3});
-  RoCombiner combiner(scheme, km);
   auto h = scheme.hash_message(m);
   parts[2] = tamper(parts[2]);
-  // Cached per-partial verification agrees with the stateless path.
-  EXPECT_TRUE(combiner.share_verify(h, parts[0]));
-  EXPECT_FALSE(combiner.share_verify(h, parts[2]));
   EXPECT_TRUE(scheme.share_verify(km.vks[0], h, parts[0]));
   EXPECT_FALSE(scheme.share_verify(km.vks[2], h, parts[2]));
 }
@@ -237,13 +233,14 @@ TEST_F(CombinerFixture, CancellingTampersYieldTheHonestSignature) {
   EXPECT_FALSE(scheme.share_verify(km.vks[0], m, parts[0]));
   EXPECT_FALSE(scheme.share_verify(km.vks[1], m, parts[1]));
 
-  auto combiner = std::make_shared<const RoCombiner>(scheme, km);
+  const RoCombiner combiner(scheme, km);
   std::vector<uint32_t> cheaters;
-  EXPECT_EQ(combiner->combine(m, parts, &cheaters), honest);
+  EXPECT_EQ(combiner.combine(m, parts, &cheaters), honest);
   EXPECT_TRUE(cheaters.empty());
   EXPECT_EQ(scheme.combine(km, m, parts), honest);
 
-  auto erased = erase_combiner(combiner);
+  auto erased =
+      erase_combiner<RoCombiner, PartialSignature>(SchemeId::kRo, combiner);
   std::vector<PartialHandle> handles;
   for (const auto& p : parts)
     handles.push_back(erase_partial(SchemeId::kRo, p));
@@ -466,7 +463,8 @@ TEST_F(ServiceFixture, CombineServiceProducesValidSignatures) {
   service::MultiTenantCombineService svc(
       ccache,
       [this](const std::string&) {
-        return erase_combiner(std::make_shared<const RoCombiner>(scheme, km));
+        return erase_combiner<RoCombiner, PartialSignature>(
+            SchemeId::kRo, RoCombiner(scheme, km));
       },
       pool);
   Bytes m1 = to_bytes("combine request 1");
@@ -616,7 +614,8 @@ TEST_F(MultiTenantFixture, MultiTenantCombineServiceRoutesPerCommittee) {
       cache,
       [this](const std::string& key) {
         const KeyMaterial& km = key == "A" ? kmA : kmB;
-        return erase_combiner(std::make_shared<const RoCombiner>(scheme, km));
+        return erase_combiner<RoCombiner, PartialSignature>(
+            SchemeId::kRo, RoCombiner(scheme, km));
       },
       pool);
   auto erased_parts = [](std::vector<PartialSignature> parts) {
