@@ -5,6 +5,11 @@
 //
 // All Montgomery constants (R, R^2, -p^{-1} mod 2^64) are computed at compile
 // time from the modulus, so only p and r themselves are transcribed.
+//
+// The Montgomery multiply has two kernels: a portable carry chain, and on
+// x86-64 a mulx/adcx/adox one in GNU extended asm (GCC and Clang), taken
+// where cpuid reports bmi2 and adx. This file holds the tree's only inline
+// asm (bnr_lint rule BNR-L008).
 #pragma once
 
 #include <array>
@@ -16,11 +21,23 @@
 
 #include "bn/u256.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define BNR_MONT_MULX 1
+#endif
+
 namespace bnr {
 
 class Rng;
 
 namespace detail {
+
+#if BNR_MONT_MULX
+/// True when this CPU has bmi2 and adx: read from cpuid once, while the
+/// library's static objects are initialised (fp.cpp), and never written
+/// after. It reads false before that, so a multiply that runs during static
+/// initialisation takes the portable kernel, which gives the same bytes.
+extern const bool mont_use_mulx;
+#endif
 
 constexpr uint64_t mont_inv64(const U256& mod) {
   // Newton iteration for mod^{-1} mod 2^64 (mod odd), then negate.
@@ -137,13 +154,30 @@ class Mont {
     return r;
   }
   Mont operator-() const { return zero() - *this; }
-  Mont operator*(const Mont& o) const {
+  [[gnu::always_inline]] Mont operator*(const Mont& o) const {
     Mont r;
     r.v_ = mul_redc(v_, o.v_);
     return r;
   }
   Mont squared() const { return *this * *this; }
   Mont doubled() const { return *this + *this; }
+
+  /// The multiply kernels by name, for the tests that compare them:
+  /// operator* takes mul_mulx where the CPU has bmi2 and adx, and
+  /// mul_portable everywhere else.
+  static Mont mul_portable(const Mont& a, const Mont& b) {
+    Mont r;
+    r.v_ = mul_redc_portable(a.v_, b.v_);
+    return r;
+  }
+#if BNR_MONT_MULX
+  /// Requires bmi2 and adx.
+  static Mont mul_mulx(const Mont& a, const Mont& b) {
+    Mont r;
+    r.v_ = mul_redc_mulx(a.v_, b.v_);
+    return r;
+  }
+#endif
 
   /// Multiplicative inverse via binary extended GCD. Throws on zero.
   Mont inverse() const {
@@ -228,10 +262,12 @@ class Mont {
   bool is_odd() const { return (to_u256().w[0] & 1) != 0; }
 
  private:
-  // The kernels below are carry chains (bn/u256.hpp addc/subb) followed by
-  // a correction chosen by mask arithmetic: they compare nothing and take no
-  // branch on the data. That is not yet a constant-time signing path: pow,
-  // inverse and the curve's scalar multiplication still branch.
+  // The kernels below are carry chains (bn/u256.hpp addc/subb, or adcx/adox
+  // in the mulx multiply) followed by a correction chosen by mask
+  // arithmetic: they compare nothing and take no branch on the data. The
+  // multiply's dispatch branches on the CPU, never on the operands. That is
+  // not yet a constant-time signing path: pow, inverse and the curve's
+  // scalar multiplication still branch.
 
   /// a where `keep_a` is all ones, b where it is zero. One expression per
   /// limb: GCC 12 vectorizes the same select written as a loop over the
@@ -276,10 +312,24 @@ class Mont {
     return uint64_t(cl) + ch;
   }
 
+  /// Montgomery product a * b / 2^256 mod p, by the kernel selected for
+  /// this CPU; both give the same bytes. Always inlined, as are operator*
+  /// and the mulx kernel: GCC prices an asm block by its line count, and
+  /// without the attribute it stops inlining the multiply into the tower
+  /// and curve code, which then pays a call and a 32-byte result through
+  /// memory per product (about 8% of perfbench's combine throughput on a
+  /// 4-vCPU x86-64 VM).
+  [[gnu::always_inline]] static U256 mul_redc(const U256& a, const U256& b) {
+#if BNR_MONT_MULX
+    if (detail::mont_use_mulx) return mul_redc_mulx(a, b);
+#endif
+    return mul_redc_portable(a, b);
+  }
+
   /// Montgomery product a * b / 2^256 mod p (CIOS): per limb of a, add
   /// a_i * b, then m * p with m chosen to clear the low limb, and shift down
   /// a limb. The result lies in [0, 2p); one masked subtraction ends it.
-  static U256 mul_redc(const U256& a, const U256& b) {
+  static U256 mul_redc_portable(const U256& a, const U256& b) {
     uint64_t t[5] = {0, 0, 0, 0, 0};
     for (int i = 0; i < 4; ++i) {
       uint64_t top = mul_add_row(t, a.w[i], b);
@@ -298,6 +348,98 @@ class Mont {
     borrow = subb(borrow, t[4], 0, high);
     return select(0 - uint64_t(borrow), r, d);
   }
+
+#if BNR_MONT_MULX
+  // One round of mul_redc_mulx over the window W0..W4 of the running sum:
+  // the row a_i * b with rdx = a_i, then the row m * p with rdx = m. Each
+  // row's products put their low halves on the adox (OF) chain and their
+  // high halves, one limb up, on the adcx (CF) chain. The xor before each
+  // row clears CF and OF, which the bound below says are clear already (and
+  // imul is not flag-free), so a row need not wait for the last flags of the
+  // row before it.
+#define BNR_MULX_ROUND(i, W0, W1, W2, W3, W4) \
+  "xorl %k[lo], %k[lo]\n\t"                   \
+  "movq 8*" #i "(%[a]), %%rdx\n\t"            \
+  "mulxq (%[b]), %[lo], %[hi]\n\t"            \
+  "adoxq %[lo], %[" #W0 "]\n\t"               \
+  "adcxq %[hi], %[" #W1 "]\n\t"               \
+  "mulxq 8(%[b]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[" #W1 "]\n\t"               \
+  "adcxq %[hi], %[" #W2 "]\n\t"               \
+  "mulxq 16(%[b]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[" #W2 "]\n\t"               \
+  "adcxq %[hi], %[" #W3 "]\n\t"               \
+  "mulxq 24(%[b]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[" #W3 "]\n\t"               \
+  "adcxq %[" #W4 "], %[hi]\n\t"               \
+  "adoxq %[hi], %[" #W4 "]\n\t"               \
+  "movabsq %[inv], %%rdx\n\t"                 \
+  "imulq %[" #W0 "], %%rdx\n\t"               \
+  "xorl %k[lo], %k[lo]\n\t"                   \
+  "mulxq (%[p]), %[lo], %[hi]\n\t"            \
+  "adoxq %[lo], %[" #W0 "]\n\t"               \
+  "adcxq %[hi], %[" #W1 "]\n\t"               \
+  "mulxq 8(%[p]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[" #W1 "]\n\t"               \
+  "adcxq %[hi], %[" #W2 "]\n\t"               \
+  "mulxq 16(%[p]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[" #W2 "]\n\t"               \
+  "adcxq %[hi], %[" #W3 "]\n\t"               \
+  "mulxq 24(%[p]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[" #W3 "]\n\t"               \
+  "adcxq %[hi], %[" #W4 "]\n\t"               \
+  "adoxq %[" #W0 "], %[" #W4 "]\n\t"
+
+  /// mul_redc_portable's CIOS with mulx, adcx and adox (bmi2 and adx).
+  /// mulx multiplies by rdx without touching the flags, and adcx and adox
+  /// carry through CF and OF alone, so a row's two chains interleave with
+  /// its products and nothing spills. In the portable kernel every 64x64
+  /// mul clobbers the carry flag both chains need, and GCC 12 compiles it
+  /// with ~90 stack references per multiply. It is asm, not intrinsics:
+  /// GCC 12 lowers `_addcarryx_u64` to plain adc, and a function built with
+  /// target("bmi2,adx") cannot inline into the untargeted tower code.
+  ///
+  /// Why five limbs suffice and neither chain carries out: a round starts
+  /// from t < 2p (t = 0 before the first) and adds a_i * b and m * p, each
+  /// below 2^64 p, so the sum stays below 2^65 p < 2^320 (p < 2^255 is
+  /// asserted above). A chain that carried out of the top limb would put
+  /// the total at 2^320 or more, so none does, and nothing is lost.
+  /// m = t_0 * (-p^-1) mod 2^64 clears the low limb, and dropping it leaves
+  /// the sum / 2^64 < 2p < 2^256 for the next round, so the last round ends
+  /// in [0, 2p) in four limbs, and one masked subtraction finishes.
+  ///
+  /// The four rounds are unrolled over five registers that rotate instead
+  /// of shifting: the limb a round clears becomes the next round's top
+  /// limb, which must start at zero. They also stand in for a zero
+  /// register: in the row a_i * b the top limb, still zero, carries CF
+  /// into the top, and in the row m * p the cleared low limb carries OF.
+  /// The memory operands name what the asm reads through a and b; p is a
+  /// constant nothing writes.
+  [[gnu::always_inline]] static U256 mul_redc_mulx(const U256& a,
+                                                   const U256& b) {
+    uint64_t t0, t1, t2, t3, t4, lo, hi;
+    asm("xorl %k[t0], %k[t0]\n\t"
+        "xorl %k[t1], %k[t1]\n\t"
+        "xorl %k[t2], %k[t2]\n\t"
+        "xorl %k[t3], %k[t3]\n\t"
+        "xorl %k[t4], %k[t4]\n\t"
+        BNR_MULX_ROUND(0, t0, t1, t2, t3, t4)
+        BNR_MULX_ROUND(1, t1, t2, t3, t4, t0)
+        BNR_MULX_ROUND(2, t2, t3, t4, t0, t1)
+        BNR_MULX_ROUND(3, t3, t4, t0, t1, t2)
+        : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3),
+          [t4] "=&r"(t4), [lo] "=&r"(lo), [hi] "=&r"(hi)
+        : [a] "r"(a.w.data()), [b] "r"(b.w.data()), [p] "r"(kMod.w.data()),
+          [inv] "i"(kInv), "m"(a), "m"(b)
+        : "rdx", "cc");
+    // After round 3 the window is (t4, t0, t1, t2), and t3 is the zero.
+    const U256 r{{t4, t0, t1, t2}};
+    U256 d;
+    const uint64_t borrow = U256::sub(r, kMod, d);
+    return select(0 - borrow, r, d);
+  }
+#undef BNR_MULX_ROUND
+#endif
 
   static U256 half_mod(const U256& x) {
     // x/2 mod p for odd p: if x even then x>>1 else (x+p)>>1.

@@ -5,6 +5,10 @@
 #include "common/rng.hpp"
 #include "field/tower.hpp"
 
+#if BNR_MONT_MULX
+#include <cpuid.h>
+#endif
+
 namespace bnr {
 namespace {
 
@@ -52,6 +56,24 @@ TEST(Fr, Axioms) { check_prime_field_axioms<Fr>("fr-axioms"); }
 // element's value and as its Montgomery word, which is what the kernels add
 // and multiply. Results are compared with from_u256(expected), and
 // operator== compares Montgomery words, so outputs must also be canonical.
+// The products run through one multiply kernel, named by the caller.
+
+/// A Montgomery multiply kernel by name: Mont::mul_portable or
+/// Mont::mul_mulx.
+template <class F>
+using MulKernel = F (*)(const F&, const F&);
+
+/// bmi2 and adx from cpuid leaf 7 (ebx bits 8 and 19), read here rather
+/// than through the library, so a detection bug cannot hide its own test.
+bool cpu_has_bmi2_adx() {
+#if BNR_MONT_MULX
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return ((ebx >> 8) & 1) != 0 && ((ebx >> 19) & 1) != 0;
+#else
+  return false;
+#endif
+}
 
 template <class F>
 std::vector<BigUint> kernel_values(std::string_view seed) {
@@ -74,7 +96,7 @@ std::vector<BigUint> kernel_values(std::string_view seed) {
 }
 
 template <class F>
-void check_kernels_against_biguint(std::string_view seed) {
+void check_kernels_against_biguint(std::string_view seed, MulKernel<F> mul) {
   const BigUint p(F::kMod), r = BigUint(1) << 256;
   const BigUint r_mod_p = r % p, p_inv = BigUint::mod_inverse(p, r);
   auto elem = [](const BigUint& v) { return F::from_u256(v.to_u256()); };
@@ -85,13 +107,14 @@ void check_kernels_against_biguint(std::string_view seed) {
     const F fa = elem(a);
     EXPECT_EQ(-fa, elem((p - a) % p)) << a.to_hex();
     EXPECT_EQ(fa.doubled(), elem((a + a) % p)) << a.to_hex();
-    EXPECT_EQ(fa.squared(), elem((a * a) % p)) << a.to_hex();
+    EXPECT_EQ(mul(fa, fa), elem((a * a) % p)) << a.to_hex();
     for (const BigUint& b : values) {
       const F fb = elem(b);
       EXPECT_EQ(fa + fb, elem((a + b) % p)) << a.to_hex() << " " << b.to_hex();
       EXPECT_EQ(fa - fb, elem((a + p - b) % p))
           << a.to_hex() << " " << b.to_hex();
-      EXPECT_EQ(fa * fb, elem((a * b) % p)) << a.to_hex() << " " << b.to_hex();
+      EXPECT_EQ(mul(fa, fb), elem((a * b) % p))
+          << a.to_hex() << " " << b.to_hex();
       // Coverage of the corrections' edges: word sums equal to p exactly,
       // and products whose CIOS value (x y + m p) / 2^256 before the final
       // subtraction, with m = -x y / p mod 2^256, lies in [p, 2p).
@@ -107,10 +130,49 @@ void check_kernels_against_biguint(std::string_view seed) {
 }
 
 TEST(Fp, KernelsMatchBigUintOnCarryEdges) {
-  check_kernels_against_biguint<Fp>("fp-kernels");
+  check_kernels_against_biguint<Fp>("fp-kernels", &Fp::mul_portable);
 }
 TEST(Fr, KernelsMatchBigUintOnCarryEdges) {
-  check_kernels_against_biguint<Fr>("fr-kernels");
+  check_kernels_against_biguint<Fr>("fr-kernels", &Fr::mul_portable);
+}
+
+// The mulx kernel: the same edge set, then a seeded sweep of random
+// products compared with the portable kernel word for word. Skipped on a
+// CPU without bmi2 and adx, and on targets without the kernel.
+template <class F>
+void check_mulx_kernel(std::string_view seed) {
+#if BNR_MONT_MULX
+  if (!cpu_has_bmi2_adx()) GTEST_SKIP() << "this CPU lacks bmi2 or adx";
+  check_kernels_against_biguint<F>(seed, &F::mul_mulx);
+  Rng rng(seed);
+  for (int i = 0; i < 100000; ++i) {
+    const F a = F::random(rng), b = F::random(rng);
+    ASSERT_EQ(F::mul_mulx(a, b), F::mul_portable(a, b))
+        << "product " << i << ": " << a.to_u256().to_hex() << " * "
+        << b.to_u256().to_hex();
+  }
+#else
+  (void)seed;
+  GTEST_SKIP() << "no mulx kernel on this target";
+#endif
+}
+
+TEST(Fp, MulxKernelMatchesBigUintAndPortable) {
+  check_mulx_kernel<Fp>("fp-mulx");
+}
+TEST(Fr, MulxKernelMatchesBigUintAndPortable) {
+  check_mulx_kernel<Fr>("fr-mulx");
+}
+
+// operator* takes the mulx kernel exactly where cpuid reports bmi2 and
+// adx: a detection bug that fell back to the portable kernel would keep
+// every other test green while every multiply ran ~20% slower.
+TEST(Fp, MulxKernelSelectedIffCpuHasBmi2AndAdx) {
+#if BNR_MONT_MULX
+  EXPECT_EQ(detail::mont_use_mulx, cpu_has_bmi2_adx());
+#else
+  GTEST_SKIP() << "no mulx kernel on this target";
+#endif
 }
 
 TEST(Fp, MontgomeryConstants) {

@@ -10,6 +10,10 @@ express (see docs/static-analysis.md for the rule catalogue):
   BNR-L004  no raw memcmp on secret/token material (use bnr::ct_equal)
   BNR-L005  no logging of secret-typed or secret-named values
   BNR-L006  atomic RMW counters must state a memory order explicitly
+  BNR-L008  inline asm lives only in the field kernel file
+
+BNR-L007 is reserved for the constant-time rule (a reveal() result must not
+reach a variable-time API).
 
 Engine: uses libclang for comment/string stripping when the python bindings
 and a libclang shared object are importable (`--engine clang`), and a pure
@@ -328,6 +332,27 @@ def rule_l006(relpath: str, lines: list[str]):
         i = last + 1
 
 
+L008_KERNEL_FILE = "src/field/fp.hpp"
+L008_ASM = re.compile(r"\b(asm|__asm|__asm__)\b")
+
+
+def rule_l008(relpath: str, lines: list[str]):
+    """Inline asm outside the one file that holds the field kernel."""
+    if relpath.replace("\\", "/") == L008_KERNEL_FILE:
+        return
+    for i, line in enumerate(lines):
+        m = L008_ASM.search(line)
+        if m:
+            yield Finding(
+                "BNR-L008", relpath, i + 1,
+                f"`{m.group(1)}` outside {L008_KERNEL_FILE}, the one file "
+                "that holds inline asm",
+                "the sanitizers do not see an asm block's loads, and "
+                "-Wconversion and Secret<T> do not see into it: write it in "
+                "C++, or put it beside the field kernel so review of asm "
+                "stays in one place")
+
+
 RULES = {
     "BNR-L001": rule_l001,
     "BNR-L002": rule_l002,
@@ -335,6 +360,7 @@ RULES = {
     "BNR-L004": rule_l004,
     "BNR-L005": rule_l005,
     "BNR-L006": rule_l006,
+    "BNR-L008": rule_l008,
 }
 
 RULE_SUMMARIES = {
@@ -344,6 +370,7 @@ RULE_SUMMARIES = {
     "BNR-L004": "no raw memcmp on secret/token material — use bnr::ct_equal",
     "BNR-L005": "no BNR_LOG of secret-typed or secret-named values",
     "BNR-L006": "atomic RMW counters must state an explicit memory order",
+    "BNR-L008": "inline asm (asm/__asm__) only in src/field/fp.hpp",
 }
 
 

@@ -51,7 +51,7 @@ class FixtureTests(unittest.TestCase):
         bad = [n for n in names if n.endswith("_bad.cpp")]
         good = [n for n in names if n.endswith("_good.cpp")]
         self.assertEqual(len(bad), len(good))
-        self.assertGreaterEqual(len(bad), 6)  # one pair per rule minimum
+        self.assertGreaterEqual(len(bad), 7)  # one pair per rule minimum
 
     def test_every_rule_has_a_fixture(self):
         covered = set()
@@ -78,6 +78,22 @@ class FixtureTests(unittest.TestCase):
             path = os.path.join(FIXTURES, name)
             with self.subTest(fixture=name):
                 self.assertEqual(lint(path), set())
+
+
+class ScopeTests(unittest.TestCase):
+    """Rules that exempt one file exempt exactly that file."""
+
+    def test_l008_allows_asm_in_the_kernel_file_only(self):
+        src = 'asm("" ::: "memory");\n'
+        lines = bnr_lint.clean_source_regex(src).split("\n")
+        self.assertEqual(list(bnr_lint.rule_l008("src/field/fp.hpp", lines)),
+                         [])
+        for other in ("src/field/tower.hpp", "src/bn/u256.hpp",
+                      "tests/field/fp.hpp"):
+            with self.subTest(file=other):
+                found = list(bnr_lint.rule_l008(other, lines))
+                self.assertEqual([(f.rule, f.line) for f in found],
+                                 [("BNR-L008", 1)])
 
 
 class CleanerTests(unittest.TestCase):
