@@ -17,6 +17,13 @@ struct G2Curve {
 using G2Affine = AffinePoint<G2Curve>;
 using G2 = JacobianPoint<G2Curve>;
 
+// batch_to_affine and msm's small-MSM path are compiled once, in g2.cpp,
+// not in every caller.
+extern template void G2::batch_to_affine(std::span<const G2>,
+                                         std::span<G2Affine>);
+extern template G2 detail::msm_straus<G2Curve>(std::span<const G2Affine>,
+                                               std::span<const U256>);
+
 /// Compressed: 1 tag byte + 64-byte x (c0 || c1); the infinity's (tag 0) x
 /// bytes must be zero.
 constexpr size_t kG2CompressedSize = 65;

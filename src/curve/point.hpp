@@ -3,6 +3,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <concepts>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -48,6 +50,39 @@ struct AffinePoint {
   }
 };
 
+namespace detail {
+
+/// Width-w NAF digits of k, LSB first, into `out`, which must hold
+/// k.bit_length() + 1 entries; returns the number of digits (the last one
+/// is nonzero). Every nonzero digit is odd and below 2^(w-1) in magnitude,
+/// and is followed by at least w-1 zeros. Reads k as bits plus a carry
+/// instead of rewriting it, so a run of zeros costs one bit test each.
+inline size_t wnaf(const U256& k, size_t w, std::span<int8_t> out) {
+  const size_t bits = k.bit_length();
+  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(bits + 1),
+            int8_t{0});
+  size_t len = 0;
+  uint64_t carry = 0;  // +1 owed to the current bit by a negative digit
+  for (size_t pos = 0; pos < bits || carry != 0;) {
+    const uint64_t bit = pos < 256 ? uint64_t(k.bit(pos)) : 0;
+    if (bit == carry) {  // (k >> pos) + carry is even: a zero digit
+      ++pos;
+      continue;
+    }
+    // An odd word below 2^w: its top bit makes the digit negative and
+    // carries into the window above.
+    const uint64_t word = (pos < 256 ? k.bits(pos, w) : 0) + carry;
+    carry = word >> (w - 1);
+    out[pos] = static_cast<int8_t>(static_cast<int64_t>(word) -
+                                   static_cast<int64_t>(carry << w));
+    len = pos + 1;
+    pos += w;
+  }
+  return len;
+}
+
+}  // namespace detail
+
 template <class Curve>
 class JacobianPoint {
  public:
@@ -84,29 +119,14 @@ class JacobianPoint {
 
   /// Normalizes many Jacobian points with ONE field inversion (Montgomery's
   /// trick): prefix-multiply the Z coordinates, invert the total, unwind.
-  /// Identities pass through as affine identities.
+  /// Identities pass through as affine identities. `out` holds pts.size()
+  /// entries; the prefix products wait in their x coordinates. Defined
+  /// below the class, so g1.cpp and g2.cpp can compile it once per curve.
+  static void batch_to_affine(std::span<const JacobianPoint> pts,
+                              std::span<Affine> out);
   static std::vector<Affine> batch_to_affine(std::span<const JacobianPoint> pts) {
     std::vector<Affine> out(pts.size());
-    std::vector<Field> prefix(pts.size());
-    Field acc = Field::one();
-    bool any = false;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      if (pts[i].is_identity()) continue;
-      prefix[i] = acc;          // product of all earlier non-identity Zs
-      acc = acc * pts[i].z_;
-      any = true;
-    }
-    if (!any) return out;  // all identities (already default-constructed)
-    Field tail_inv = acc.inverse();
-    for (size_t i = pts.size(); i-- > 0;) {
-      if (pts[i].is_identity()) continue;
-      Field zinv = tail_inv * prefix[i];
-      tail_inv = tail_inv * pts[i].z_;
-      Field zinv2 = zinv.squared();
-      out[i].x = pts[i].x_ * zinv2;
-      out[i].y = pts[i].y_ * zinv2 * zinv;
-      out[i].infinity = false;
-    }
+    batch_to_affine(pts, out);
     return out;
   }
 
@@ -254,32 +274,9 @@ class JacobianPoint {
 
   /// Signed digits of `scalar` in width-w NAF form (LSB first); exposed for
   /// tests.
-  static std::vector<int8_t> wnaf_digits(U256 k, int window) {
-    const uint64_t full = uint64_t(1) << window;
-    const uint64_t half = full >> 1;
-    std::vector<int8_t> digits;
-    while (!k.is_zero()) {
-      if (k.is_even()) {
-        digits.push_back(0);
-      } else {
-        uint64_t low = k.w[0] & (full - 1);
-        if (low >= half) {
-          // Negative digit d = low - 2^w; k -= d  <=>  k += 2^w - low.
-          digits.push_back(static_cast<int8_t>(int64_t(low) - int64_t(full)));
-          U256 add = U256::from_u64(full - low);
-          U256 t;
-          U256::add(k, add, t);
-          k = t;
-        } else {
-          digits.push_back(static_cast<int8_t>(low));
-          U256 sub = U256::from_u64(low);
-          U256 t;
-          U256::sub(k, sub, t);
-          k = t;
-        }
-      }
-      k = k.shr1();
-    }
+  static std::vector<int8_t> wnaf_digits(const U256& k, int window) {
+    std::vector<int8_t> digits(k.bit_length() + 1);
+    digits.resize(detail::wnaf(k, static_cast<size_t>(window), digits));
     return digits;
   }
 
@@ -295,6 +292,31 @@ class JacobianPoint {
   Field z_{};  // zero => identity
 };
 
+template <class Curve>
+void JacobianPoint<Curve>::batch_to_affine(std::span<const JacobianPoint> pts,
+                                           std::span<Affine> out) {
+  Field acc = Field::one();
+  bool any = false;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    out[i] = Affine::identity();
+    if (pts[i].is_identity()) continue;
+    out[i].x = acc;  // product of all earlier non-identity Zs
+    acc = acc * pts[i].z_;
+    any = true;
+  }
+  if (!any) return;  // all identities
+  Field tail_inv = acc.inverse();
+  for (size_t i = pts.size(); i-- > 0;) {
+    if (pts[i].is_identity()) continue;
+    Field zinv = tail_inv * out[i].x;
+    tail_inv = tail_inv * pts[i].z_;
+    Field zinv2 = zinv.squared();
+    out[i].x = pts[i].x_ * zinv2;
+    out[i].y = pts[i].y_ * zinv2 * zinv;
+    out[i].infinity = false;
+  }
+}
+
 /// Naive multi-scalar multiplication: sum_i points[i] * scalars[i], one wNAF
 /// ladder per point. The test oracle for `msm`.
 template <class Point>
@@ -306,6 +328,13 @@ Point msm_naive(std::span<const Point> points, std::span<const Fr> scalars) {
     acc = acc + points[i].mul(scalars[i]);
   return acc;
 }
+
+/// A scalar k as a curve's GLV hook splits it: k = k1 + k2 * lambda (mod r),
+/// each half a sign and a magnitude below 2^128.
+struct GlvSplit {
+  U256 k1, k2;
+  bool k1_neg = false, k2_neg = false;
+};
 
 namespace detail {
 
@@ -321,16 +350,128 @@ inline int64_t booth_digit(const U256& k, size_t w, size_t c) {
          static_cast<int64_t>((v >> (c - 1)) << c);
 }
 
+/// The GLV hook (Gallant-Lambert-Vanstone, CRYPTO 2001): a curve on whose
+/// points phi(x, y) = (glv_beta() * x, y) multiplies by one lambda, and
+/// whose glv_split(k), for k < r, gives k's halves as GlvSplit describes.
+/// G1 has one (its cofactor is 1); G2 does not.
+template <class Curve>
+concept GlvCurve = requires(const U256& k) {
+  { Curve::glv_split(k) } -> std::same_as<GlvSplit>;
+  { Curve::glv_beta() } -> std::same_as<const typename Curve::Field&>;
+};
+
+/// The most points msm hands to msm_straus; Pippenger takes more.
+inline constexpr size_t kStrausMaxPoints = 7;
+
+/// sum_i points[i] * ks[i] (ks[i] < r) by Straus's interleaving: one shared
+/// doubling per bit for all points, and per point a width-5 wNAF with the
+/// odd multiples P, 3P, ..., 15P as its table. All tables come out affine
+/// from one batched inversion, so every addition in the loop is a mixed
+/// one. On a GlvCurve a scalar wider than 128 bits runs as two lanes of at
+/// most 128 bits, the second over phi of the first lane's table, which
+/// halves the doublings. Fixed-size storage only, at most 14 lanes of 8
+/// entries, and no more of it than one stack frame. Variable time: public
+/// inputs only.
+template <class Curve>
+JacobianPoint<Curve> msm_straus(std::span<const AffinePoint<Curve>> points,
+                                std::span<const U256> ks) {
+  using Point = JacobianPoint<Curve>;
+  using Affine = AffinePoint<Curve>;
+  using Field = typename Curve::Field;
+  constexpr bool kGlv = GlvCurve<Curve>;
+  constexpr size_t kW = 5;
+  constexpr size_t kOdd = size_t(1) << (kW - 2);  // P, 3P, ..., 15P
+  constexpr size_t kTables = kStrausMaxPoints * kOdd;
+  // On a GlvCurve no lane is wider than 128 bits.
+  constexpr size_t kMaxDigits = kGlv ? 129 : 257;
+  struct Lane {
+    const Affine* table;
+    const Field* phi_x;  // x coordinates of phi(table), or null
+    size_t len;
+    std::array<int8_t, kMaxDigits> digits;
+  };
+  if (points.size() > kStrausMaxPoints || ks.size() != points.size())
+    throw std::invalid_argument("msm_straus: bad sizes");
+
+  std::array<Point, kTables> jac;
+  std::array<Affine, kTables> table;
+  std::array<Field, kGlv ? kTables : 0> phi_x;  // beta * x, y unchanged
+  std::array<bool, kStrausMaxPoints> split{};
+  std::array<Lane, kStrausMaxPoints * (kGlv ? 2 : 1)> lanes;
+  size_t n_tables = 0, n_lanes = 0;
+  auto add_lane = [&](size_t at, const Field* phi, const U256& k,
+                      bool negative) {
+    if (k.is_zero()) return;
+    if (k.bit_length() >= kMaxDigits)
+      throw std::logic_error("msm_straus: lane too wide");
+    Lane& lane = lanes[n_lanes++];
+    lane.table = &table[at];
+    lane.phi_x = phi;
+    lane.len = wnaf(k, kW, lane.digits);
+    if (negative)
+      for (size_t i = 0; i < lane.len; ++i)
+        lane.digits[i] = static_cast<int8_t>(-lane.digits[i]);
+  };
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (points[i].infinity || ks[i].is_zero()) continue;
+    const size_t at = n_tables * kOdd;
+    jac[at] = Point::from_affine(points[i]);
+    const Point twice = jac[at].dbl();
+    jac[at + 1] = twice + points[i];
+    for (size_t j = 2; j < kOdd; ++j) jac[at + j] = jac[at + j - 1] + twice;
+    if constexpr (kGlv) {
+      if (ks[i].bit_length() > 128) {
+        const GlvSplit s = Curve::glv_split(ks[i]);
+        add_lane(at, nullptr, s.k1, s.k1_neg);
+        add_lane(at, &phi_x[at], s.k2, s.k2_neg);
+        split[n_tables++] = true;
+        continue;
+      }
+    }
+    add_lane(at, nullptr, ks[i], false);
+    ++n_tables;
+  }
+  const size_t used = n_tables * kOdd;
+  Point::batch_to_affine(std::span<const Point>(jac.data(), used),
+                         std::span<Affine>(table.data(), used));
+  if constexpr (kGlv) {
+    const Field& beta = Curve::glv_beta();
+    for (size_t j = 0; j < used; ++j)
+      if (split[j / kOdd]) phi_x[j] = table[j].x * beta;
+  }
+
+  size_t top = 0;
+  for (size_t l = 0; l < n_lanes; ++l) top = std::max(top, lanes[l].len);
+  Point acc;
+  for (size_t i = top; i-- > 0;) {
+    acc = acc.dbl();
+    for (size_t l = 0; l < n_lanes; ++l) {
+      const Lane& lane = lanes[l];
+      if (i >= lane.len || lane.digits[i] == 0) continue;
+      const int d = lane.digits[i];
+      const size_t j = static_cast<size_t>(d > 0 ? d : -d) / 2;
+      Affine q = lane.table[j];
+      if (lane.phi_x != nullptr) q.x = lane.phi_x[j];
+      if (d < 0) q.y = -q.y;
+      acc = acc + q;
+    }
+  }
+  return acc;
+}
+
 }  // namespace detail
 
 /// Multi-scalar multiplication sum_i points[i] * scalars[i] over affine
-/// points: Pippenger's bucket method with signed (Booth) window digits. A
-/// point whose digit is d lands in bucket |d| as P or -P (negation is free),
-/// so a c-bit window needs 2^(c-1) buckets, half an unsigned window's; the
-/// buckets fill with mixed additions and fold with a running sum, for
-/// O(bits/c * (n + 2^c)) additions instead of O(n * bits) doublings. Windows
-/// above the largest scalar are skipped, so 128-bit batch-RLC coefficients
-/// cost about half of full-width ones. Variable time: public inputs only.
+/// points. Up to 7 points run detail::msm_straus, or one ladder per point
+/// when the scalars are all below 32 bits.
+/// From 8 points on it is Pippenger's bucket method with signed (Booth)
+/// window digits: a point whose digit is d lands in bucket |d| as P or -P
+/// (negation is free), so a c-bit window needs 2^(c-1) buckets, half an
+/// unsigned window's; the buckets fill with mixed additions and fold with a
+/// running sum, for O(bits/c * (n + 2^c)) additions instead of O(n * bits)
+/// doublings. Windows above the largest scalar are skipped, so 128-bit
+/// batch-RLC coefficients cost about half of full-width ones. Variable
+/// time: public inputs only.
 template <class Point>
 Point msm(std::span<const typename Point::Affine> points,
           std::span<const Fr> scalars) {
@@ -338,10 +479,22 @@ Point msm(std::span<const typename Point::Affine> points,
     throw std::invalid_argument("msm: size mismatch");
   const size_t n = points.size();
   Point result;
-  if (n < 8) {  // too few points to fill the buckets: one ladder per point
-    for (size_t i = 0; i < n; ++i)
-      result = result + Point::from_affine(points[i]).mul(scalars[i]);
-    return result;
+  if (n <= detail::kStrausMaxPoints) {  // too few points to fill buckets
+    std::array<U256, detail::kStrausMaxPoints> ks;
+    size_t max_bits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ks[i] = scalars[i].to_u256();
+      max_bits = std::max(max_bits, ks[i].bit_length());
+    }
+    // Scalars all below 32 bits (DKG commitments at powers of an index)
+    // do not pay for 8-entry affine tables: one ladder per point, which
+    // `mul` runs binary below 32 bits.
+    if (max_bits < 32) {
+      for (size_t i = 0; i < n; ++i)
+        result = result + Point::from_affine(points[i]).mul(ks[i]);
+      return result;
+    }
+    return detail::msm_straus(points, std::span<const U256>(ks.data(), n));
   }
 
   std::vector<U256> ks(n);

@@ -26,18 +26,30 @@ std::vector<Fr> lagrange_coefficients(std::span<const uint32_t> indices,
     if (!seen.insert(i).second)
       throw std::invalid_argument("lagrange: duplicate index");
   }
-  std::vector<Fr> out;
-  out.reserve(indices.size());
-  for (uint32_t i : indices) {
-    Fr num = Fr::one(), den = Fr::one();
-    Fr xi = Fr::from_u64(i);
+  // Delta_i = num_i / den_i with every den_i inverted by ONE inversion of
+  // their product (Montgomery's trick); the indices are public. Distinct
+  // indices below 2^32 < r keep every den_i nonzero.
+  const size_t m = indices.size();
+  std::vector<Fr> out(m), den(m), prefix(m);
+  Fr acc = Fr::one();
+  for (size_t a = 0; a < m; ++a) {
+    Fr num = Fr::one(), d = Fr::one();
+    const Fr xi = Fr::from_u64(indices[a]);
     for (uint32_t j : indices) {
-      if (j == i) continue;
-      Fr xj = Fr::from_u64(j);
+      if (j == indices[a]) continue;
+      const Fr xj = Fr::from_u64(j);
       num = num * (x - xj);
-      den = den * (xi - xj);
+      d = d * (xi - xj);
     }
-    out.push_back(num * den.inverse());
+    out[a] = num;
+    den[a] = d;
+    prefix[a] = acc;  // product of den_0 .. den_{a-1}
+    acc = acc * d;
+  }
+  Fr inv = acc.inverse();
+  for (size_t a = m; a-- > 0;) {  // inv = 1 / (den_0 ... den_a) here
+    out[a] = out[a] * inv * prefix[a];
+    inv = inv * den[a];
   }
   return out;
 }

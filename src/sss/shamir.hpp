@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/secret.hpp"
+#include "curve/point.hpp"
 #include "sss/polynomial.hpp"
 
 namespace bnr {
@@ -34,16 +35,13 @@ Fr shamir_reconstruct(std::span<const Share> shares);
 /// Interpolates at arbitrary x (used by share recovery, §3.3).
 Fr shamir_interpolate_at(std::span<const Share> shares, const Fr& x);
 
-/// "Lagrange in the exponent": prod_i points[i]^{Delta_{i,S}(0)}.
-/// `Point` is G1 or G2 (or any group with mul(Fr)).
+/// "Lagrange in the exponent": prod_i points[i]^{Delta_{i,S}(0)}, one msm.
+/// `Point` is G1 or G2.
 template <class Point>
 Point combine_in_exponent(std::span<const Point> points,
                           std::span<const uint32_t> indices) {
-  auto coeffs = lagrange_at_zero(indices);
-  Point acc;
-  for (size_t i = 0; i < points.size(); ++i)
-    acc = acc + points[i].mul(coeffs[i]);
-  return acc;
+  const auto coeffs = lagrange_at_zero(indices);
+  return msm<Point>(points, coeffs);
 }
 
 }  // namespace bnr

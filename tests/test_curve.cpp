@@ -222,6 +222,133 @@ TEST(G2, ClearCofactorLandsInSubgroup) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The GLV endomorphism of G1 and the small-MSM (Straus) path of msm.
+
+Fr signed_fr(const U256& mag, bool negative) {
+  const Fr v = Fr::from_u256(mag);
+  return negative ? -v : v;
+}
+
+TEST(Glv, KnownAnswers) {
+  const Fp& beta = G1Curve::glv_beta();
+  const Fr& lambda = G1Curve::glv_lambda();
+  EXPECT_NE(beta, Fp::one());
+  EXPECT_EQ(beta * beta * beta, Fp::one());
+  EXPECT_NE(lambda, Fr::one());
+  EXPECT_EQ(lambda * lambda * lambda, Fr::one());
+  auto phi = [&](const G1Affine& p) {
+    return G1::from_affine(G1Affine::from_xy(beta * p.x, p.y));
+  };
+  EXPECT_EQ(phi(G1Curve::generator_affine()), G1::generator().mul(lambda));
+  Rng rng("glv-kat");
+  const G1 p = G1::generator().mul(Fr::random(rng));
+  EXPECT_EQ(phi(p.to_affine()), p.mul(lambda));
+}
+
+TEST(Glv, SplitHalvesAreShortAndRecombine) {
+  Rng rng("glv-split");
+  const Fr& lambda = G1Curve::glv_lambda();
+  for (int i = 0; i < 10000; ++i) {
+    const Fr k = Fr::random(rng);
+    const GlvSplit s = G1Curve::glv_split(k.to_u256());
+    ASSERT_LE(s.k1.bit_length(), 128u) << i;
+    ASSERT_LE(s.k2.bit_length(), 128u) << i;
+    ASSERT_EQ(signed_fr(s.k1, s.k1_neg) + signed_fr(s.k2, s.k2_neg) * lambda,
+              k)
+        << i;
+  }
+}
+
+/// 0, 1, 2^32 - 1, 2^128 - 1, 2^128, r - 1, lambda, r - lambda, and two
+/// scalars whose GLV halves are both negative.
+std::vector<Fr> edge_scalars() {
+  const Fr& lambda = G1Curve::glv_lambda();
+  std::vector<Fr> out = {Fr::zero(),
+                         Fr::one(),
+                         Fr::from_u64(0xffffffffull),
+                         Fr::from_u256(U256{{~0ull, ~0ull, 0, 0}}),
+                         Fr::from_u256(U256{{0, 0, 1, 0}}),
+                         -Fr::one(),
+                         lambda,
+                         -lambda};
+  Rng rng("glv-both-negative");
+  for (int tries = 0, found = 0; found < 2; ++tries) {
+    if (tries == 10000) throw std::logic_error("no doubly negative split");
+    const Fr k = Fr::random(rng);
+    const GlvSplit s = G1Curve::glv_split(k.to_u256());
+    if (s.k1_neg && s.k2_neg) {
+      out.push_back(k);
+      ++found;
+    }
+  }
+  return out;
+}
+
+template <class P>
+void expect_msm_matches_naive(const std::vector<P>& points,
+                              const std::vector<Fr>& scalars) {
+  const auto affine = P::batch_to_affine(points);
+  EXPECT_EQ(msm<P>(std::span<const typename P::Affine>(affine), scalars),
+            msm_naive<P>(points, scalars));
+}
+
+/// msm against msm_naive for n = 1..8: every edge scalar at every position,
+/// identity points, P twice, P beside -P, and random mixes of all of these.
+template <class P>
+void check_small_msms(std::string_view seed) {
+  Rng rng(seed);
+  const auto edges = edge_scalars();
+  std::vector<P> pool;
+  for (int i = 0; i < 8; ++i) pool.push_back(P::generator().mul(Fr::random(rng)));
+  for (size_t n = 1; n <= 8; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<P> points(pool.begin(), pool.begin() + static_cast<long>(n));
+    for (size_t e = 0; e < edges.size(); ++e) {
+      std::vector<Fr> scalars;
+      for (size_t i = 0; i < n; ++i) scalars.push_back(edges[(e + i) % edges.size()]);
+      expect_msm_matches_naive(points, scalars);
+    }
+    std::vector<Fr> random;
+    for (size_t i = 0; i < n; ++i) random.push_back(Fr::random(rng));
+    std::vector<P> with_identity = points;
+    with_identity[0] = P::identity();
+    expect_msm_matches_naive(with_identity, random);
+    if (n >= 2) {
+      std::vector<P> twice = points, opposite = points;
+      twice[1] = twice[0];
+      opposite[1] = -opposite[0];
+      std::vector<Fr> same = random;
+      same[1] = same[0];
+      expect_msm_matches_naive(twice, random);
+      expect_msm_matches_naive(twice, same);
+      expect_msm_matches_naive(opposite, random);
+      expect_msm_matches_naive(opposite, same);  // the pair cancels
+    }
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<P> mixed;
+      std::vector<Fr> scalars;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t kind = i == 0 ? 0 : rng.uniform(4);
+        if (kind == 1)
+          mixed.push_back(P::identity());
+        else if (kind == 2)
+          mixed.push_back(mixed[rng.uniform(i)]);
+        else if (kind == 3)
+          mixed.push_back(-mixed[rng.uniform(i)]);
+        else
+          mixed.push_back(pool[i]);
+        scalars.push_back(rng.uniform(2) == 0 ? edges[rng.uniform(edges.size())]
+                                              : Fr::random(rng));
+      }
+      expect_msm_matches_naive(mixed, scalars);
+    }
+  }
+}
+
+TEST(Msm, SmallG1MatchesNaive) { check_small_msms<G1>("small-msm-g1"); }
+TEST(Msm, SmallG2MatchesNaive) { check_small_msms<G2>("small-msm-g2"); }
+
 TEST(Msm, MatchesNaiveSum) {
   Rng rng("msm");
   std::vector<G1> points;

@@ -166,25 +166,34 @@ TEST(Curve, WnafMatchesBinaryLadder) {
 
 TEST(Curve, WnafDigitsReconstructScalar) {
   Rng rng("wnaf-digits");
-  for (int i = 0; i < 20; ++i) {
-    Fr s = Fr::random(rng);
-    U256 k = s.to_u256();
-    auto digits = G1::wnaf_digits(k, 4);
-    // Reconstruct sum digits[i] * 2^i as BigUint-free signed arithmetic:
-    // accumulate positive and negative parts separately.
-    BigUint pos, neg;
-    for (size_t j = digits.size(); j-- > 0;) {
-      pos = pos << 1;
-      neg = neg << 1;
-      if (digits[j] > 0) pos = pos + BigUint(uint64_t(digits[j]));
-      if (digits[j] < 0) neg = neg + BigUint(uint64_t(-digits[j]));
-      // wNAF digits are odd and |d| < 8.
-      if (digits[j] != 0) {
-        EXPECT_EQ(std::abs(digits[j]) % 2, 1);
-        EXPECT_LT(std::abs(digits[j]), 8);
+  for (int window : {4, 5}) {
+    for (int i = 0; i < 21; ++i) {
+      // The all-ones scalar ends in a carry past its top bit.
+      const U256 k = i == 20 ? U256{{~0ull, ~0ull, ~0ull, ~0ull}}
+                             : Fr::random(rng).to_u256();
+      auto digits = G1::wnaf_digits(k, window);
+      // Reconstruct sum digits[i] * 2^i as BigUint-free signed arithmetic:
+      // accumulate positive and negative parts separately.
+      BigUint pos, neg;
+      size_t next_nonzero = digits.size();
+      for (size_t j = digits.size(); j-- > 0;) {
+        pos = pos << 1;
+        neg = neg << 1;
+        if (digits[j] > 0) pos = pos + BigUint(uint64_t(digits[j]));
+        if (digits[j] < 0) neg = neg + BigUint(uint64_t(-digits[j]));
+        // wNAF digits are odd, |d| < 2^(w-1), and w-1 zeros follow each.
+        if (digits[j] != 0) {
+          EXPECT_EQ(std::abs(digits[j]) % 2, 1);
+          EXPECT_LT(std::abs(digits[j]), 1 << (window - 1));
+          if (next_nonzero < digits.size()) {
+            EXPECT_GE(next_nonzero - j, size_t(window));
+          }
+          next_nonzero = j;
+        }
       }
+      EXPECT_NE(digits.back(), 0);
+      EXPECT_EQ(pos - neg, BigUint(k));
     }
-    EXPECT_EQ(pos - neg, BigUint(k));
   }
 }
 

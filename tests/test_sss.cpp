@@ -2,6 +2,8 @@
 // (t, n) sweep used to validate thresholds across configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "curve/g1.hpp"
 #include "sss/shamir.hpp"
@@ -104,6 +106,33 @@ TEST(Lagrange, CoefficientsSumToOneAtZeroForConstantPoly) {
   Fr sum = Fr::zero();
   for (const auto& c : coeffs) sum = sum + c;
   EXPECT_EQ(sum, Fr::one());
+}
+
+TEST(Lagrange, CoefficientsMatchOneInversionPerIndex) {
+  // The batched inversion gives each Delta_{i,S}(x) exactly as
+  // num_i * den_i^{-1} does, for index sets of size 1..9 and any x.
+  Rng rng("lagrange-batch");
+  for (size_t size = 1; size <= 9; ++size) {
+    std::vector<uint32_t> indices;
+    while (indices.size() < size) {
+      const auto i = static_cast<uint32_t>(1 + rng.uniform(40));
+      if (std::find(indices.begin(), indices.end(), i) == indices.end())
+        indices.push_back(i);
+    }
+    for (const Fr& x : {Fr::zero(), Fr::random(rng)}) {
+      const auto got = lagrange_coefficients(indices, x);
+      ASSERT_EQ(got.size(), size);
+      for (size_t a = 0; a < size; ++a) {
+        Fr num = Fr::one(), den = Fr::one();
+        for (uint32_t j : indices) {
+          if (j == indices[a]) continue;
+          num = num * (x - Fr::from_u64(j));
+          den = den * (Fr::from_u64(indices[a]) - Fr::from_u64(j));
+        }
+        EXPECT_EQ(got[a], num * den.inverse());
+      }
+    }
+  }
 }
 
 TEST(Lagrange, RejectsDuplicatesAndZero) {

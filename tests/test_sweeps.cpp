@@ -401,30 +401,37 @@ TEST_F(DlinDifferentialSweep, CachedCombineAgreesWithStatelessCombine) {
   }
 }
 
+/// One msm-against-msm_naive trial: half the sizes from 1..8 (the Straus
+/// path, with its GLV lanes on G1), half from 1..160, straddling the
+/// Pippenger window thresholds; scalar mixes with zeros and small values.
+template <class P>
+void msm_trial(Rng& r, int trial) {
+  SCOPED_TRACE(trial);
+  const size_t n = 1 + r.uniform(trial % 2 == 0 ? 8 : 160);
+  std::vector<P> points;
+  std::vector<Fr> scalars;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(P::generator().mul(Fr::random(r)));
+    uint64_t kind = r.uniform(8);
+    if (kind == 0)
+      scalars.push_back(Fr::zero());
+    else if (kind == 1)
+      scalars.push_back(Fr::from_u64(r.uniform(1000)));
+    else
+      scalars.push_back(Fr::random(r));
+  }
+  P oracle = msm_naive<P>(points, scalars);
+  EXPECT_EQ(msm<P>(points, scalars), oracle);
+}
+
 TEST(ParallelDifferentialSweep, MsmAgreesWithNaiveOracle) {
-  // 40 trials: random sizes straddling the Pippenger window thresholds,
-  // scalar mixes with zeros and small values. msm and the msm_naive oracle
-  // must agree exactly.
+  // 40 G1 and 20 G2 trials: msm and the msm_naive oracle must agree
+  // exactly.
   BNR_LOG_SEED();
   Rng r = trial_rng("msm");
-  for (int trial = 0; trial < 40; ++trial) {
-    SCOPED_TRACE(trial);
-    size_t n = 1 + r.uniform(160);
-    std::vector<G1> points;
-    std::vector<Fr> scalars;
-    for (size_t i = 0; i < n; ++i) {
-      points.push_back(G1::generator().mul(Fr::random(r)));
-      uint64_t kind = r.uniform(8);
-      if (kind == 0)
-        scalars.push_back(Fr::zero());
-      else if (kind == 1)
-        scalars.push_back(Fr::from_u64(r.uniform(1000)));
-      else
-        scalars.push_back(Fr::random(r));
-    }
-    G1 oracle = msm_naive<G1>(points, scalars);
-    EXPECT_EQ(msm<G1>(points, scalars), oracle);
-  }
+  for (int trial = 0; trial < 40; ++trial) msm_trial<G1>(r, trial);
+  Rng r2 = trial_rng("msm-g2");
+  for (int trial = 0; trial < 20; ++trial) msm_trial<G2>(r2, trial);
 }
 
 TEST(ParallelDifferentialSweep, MultiPairingAgreesWithAffineOracle) {
