@@ -190,25 +190,28 @@ TEST(WireOverload, RejectionAndHealthRoundTrip) {
   ByteReader rd2(shed);
   EXPECT_EQ(decode_response_header(rd2).status, Status::kShed);
 
+  // Golden bytes: each field set by name to a distinct value that encodes
+  // its documented position k (bytes 01 .. 01 k, so a byte swap shows too),
+  // and the body written out in docs/wire-protocol.md's order.
+  auto golden = [](uint64_t k) { return 0x0101010101010100ull + k; };
   HealthStats in;
-  in.in_flight = 3;
-  in.inflight_cap = 128;
-  in.queue_depth = 17;
-  in.busy_inflight = 4;
-  in.busy_ratelimit = 5;
-  in.shed_arrival = 6;
-  in.shed_in_service = 7;
-  Bytes enc = encode_health(in);
-  ByteReader rd3(enc);
+  in.in_flight = golden(1);
+  in.inflight_cap = golden(2);
+  in.queue_depth = golden(3);
+  in.busy_inflight = golden(4);
+  in.busy_ratelimit = golden(5);
+  in.shed_arrival = golden(6);
+  in.shed_in_service = golden(7);
+  ByteWriter want;
+  for (uint64_t k = 1; k <= 7; ++k) want.u64(golden(k));
+  const Bytes golden_body = want.take();
+  EXPECT_EQ(encode_health(in), golden_body);
+  ByteReader rd3(golden_body);
   HealthStats out = decode_health(rd3);
   EXPECT_TRUE(rd3.empty());
-  EXPECT_EQ(out.in_flight, 3u);
-  EXPECT_EQ(out.inflight_cap, 128u);
-  EXPECT_EQ(out.queue_depth, 17u);
-  EXPECT_EQ(out.busy_inflight, 4u);
-  EXPECT_EQ(out.busy_ratelimit, 5u);
-  EXPECT_EQ(out.shed_arrival, 6u);
-  EXPECT_EQ(out.shed_in_service, 7u);
+  EXPECT_EQ(encode_health(out), golden_body);  // the decoder inverts it
+  EXPECT_EQ(out.in_flight, golden(1));
+  EXPECT_EQ(out.shed_in_service, golden(7));
 }
 
 // ---------------------------------------------------------------------------

@@ -127,39 +127,82 @@ TEST(Wire, RequestEncodersRoundTrip) {
   EXPECT_THROW(decode_register(rd5), ProtocolError);
 }
 
+/// A distinct u64 per (section, position), with differing bytes so a byte
+/// swap shows too: 0x0s0s0s0s0s0s0s00 + k, s the section, k the 1-based
+/// position in docs/wire-protocol.md.
+constexpr uint64_t golden(uint64_t section, uint64_t k) {
+  return section * 0x0101010101010100ull + k;
+}
+
 TEST(Wire, StatsRoundTrip) {
+  // Every field set by name to the value of its documented position.
   DaemonStats s;
-  s.tenants = 3;
-  s.deduped_keys = 1;
-  s.auth_failures = 2;
-  s.conns_rejected = 5;
-  s.verify_accepted = 1234567890123ull;
-  s.combines = 17;
-  s.connections = 400;       // lifetime accepts
-  s.open_connections = 12;   // live gauge, independent of the accept total
-  SchemeStatsRow row;
-  row.scheme = static_cast<uint8_t>(SchemeId::kDlin);
-  row.tenants = 2;
-  row.verify_submitted = 99;
-  row.cache_misses = 4;
-  row.combines = 7;
-  s.schemes.push_back(row);
-  Bytes enc = encode_stats(s);
-  ByteReader rd(enc);
-  DaemonStats d = decode_stats(rd);
+  s.tenants = golden(1, 1);
+  s.deduped_keys = golden(1, 2);
+  s.connections = golden(1, 3);
+  s.conns_rejected = golden(1, 4);
+  s.auth_failures = golden(1, 5);
+  s.frames_in = golden(1, 6);
+  s.protocol_errors = golden(1, 7);
+  s.cache_hits = golden(1, 8);
+  s.cache_misses = golden(1, 9);
+  s.cache_evictions = golden(1, 10);
+  s.cache_resident_entries = golden(1, 11);
+  s.cache_resident_bytes = golden(1, 12);
+  s.verify_submitted = golden(1, 13);
+  s.verify_batches = golden(1, 14);
+  s.verify_fallbacks = golden(1, 15);
+  s.verify_accepted = golden(1, 16);
+  s.verify_rejected = golden(1, 17);
+  s.combines = golden(1, 18);
+  s.open_connections = golden(1, 19);
+  s.verify_sheds = golden(1, 20);
+  s.verify_errors = golden(1, 21);
+  s.verify_in_progress = golden(1, 22);
+  for (uint64_t section : {2, 3}) {
+    SchemeStatsRow row;
+    row.scheme = static_cast<uint8_t>(section == 2 ? SchemeId::kDlin
+                                                   : SchemeId::kRo);
+    row.tenants = golden(section, 1);
+    row.deduped = golden(section, 2);
+    row.verify_submitted = golden(section, 3);
+    row.verify_batches = golden(section, 4);
+    row.verify_fallbacks = golden(section, 5);
+    row.verify_accepted = golden(section, 6);
+    row.verify_rejected = golden(section, 7);
+    row.cache_lookups = golden(section, 8);
+    row.cache_misses = golden(section, 9);
+    row.combines = golden(section, 10);
+    row.verify_sheds = golden(section, 11);
+    row.verify_errors = golden(section, 12);
+    row.verify_in_progress = golden(section, 13);
+    s.schemes.push_back(row);
+  }
+
+  // The body as docs/wire-protocol.md lays it out: 22 global u64 fields,
+  // u32 rows, then per row u8 scheme id + 13 u64 fields.
+  ByteWriter want;
+  for (uint64_t k = 1; k <= 22; ++k) want.u64(golden(1, k));
+  want.u32(2);
+  want.u8(static_cast<uint8_t>(SchemeId::kDlin));
+  for (uint64_t k = 1; k <= 13; ++k) want.u64(golden(2, k));
+  want.u8(static_cast<uint8_t>(SchemeId::kRo));
+  for (uint64_t k = 1; k <= 13; ++k) want.u64(golden(3, k));
+  const Bytes golden_body = want.take();
+  ASSERT_EQ(golden_body.size(), 22u * 8 + 4 + 2 * (1 + 13 * 8));
+
+  const Bytes enc = encode_stats(s);
+  EXPECT_EQ(enc, golden_body);
+  ByteReader rd(golden_body);
+  const DaemonStats d = decode_stats(rd);
   EXPECT_TRUE(rd.empty());
-  EXPECT_EQ(d.tenants, 3u);
-  EXPECT_EQ(d.deduped_keys, 1u);
-  EXPECT_EQ(d.auth_failures, 2u);
-  EXPECT_EQ(d.conns_rejected, 5u);
-  EXPECT_EQ(d.verify_accepted, 1234567890123ull);
-  EXPECT_EQ(d.combines, 17u);
-  EXPECT_EQ(d.connections, 400u);
-  EXPECT_EQ(d.open_connections, 12u);
-  ASSERT_EQ(d.schemes.size(), 1u);
-  EXPECT_EQ(d.scheme_row(SchemeId::kDlin).verify_submitted, 99u);
-  EXPECT_EQ(d.scheme_row(SchemeId::kDlin).cache_misses, 4u);
-  EXPECT_EQ(d.scheme_row(SchemeId::kDlin).combines, 7u);
+  // Decoding is the encoder's inverse, so it too maps each position onto
+  // its documented name.
+  EXPECT_EQ(encode_stats(d), golden_body);
+  EXPECT_EQ(d.verify_in_progress, golden(1, 22));
+  ASSERT_EQ(d.schemes.size(), 2u);
+  EXPECT_EQ(d.scheme_row(SchemeId::kDlin).verify_submitted, golden(2, 3));
+  EXPECT_EQ(d.scheme_row(SchemeId::kRo).verify_in_progress, golden(3, 13));
   // A row for a scheme this snapshot does not carry reads as zeros.
   EXPECT_EQ(d.scheme_row(SchemeId::kBls).verify_submitted, 0u);
 }
