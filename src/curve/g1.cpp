@@ -1,9 +1,6 @@
 #include "curve/g1.hpp"
 
 #include <stdexcept>
-#include <utility>
-
-#include "bn/biguint.hpp"
 
 namespace bnr {
 
@@ -15,101 +12,10 @@ G1Affine G1Curve::generator_affine() {
 
 namespace {
 
-struct Glv {
-  Fp beta;
-  Fr lambda;
-  // A reduced basis v1 = (a1, b1), v2 = (a2, b2) of the lattice
-  // {(a, b) : a + b * lambda = 0 (mod r)} with a1 * b2 - a2 * b1 = r, in
-  // two's complement mod 2^256.
-  U256 a1, b1, a2, b2;
-  // b1 < 0 < b2, so Babai's c1 = round(k * b2 / r) and
-  // c2 = round(-k * b1 / r) are both (k * g + 2^319) >> 320, with
-  // g = round(|b| * 2^320 / r). For k < r < 2^254 the shifted product is
-  // within 2^254 / 2^321 = 2^-67 of k * |b| / r, so
-  // |k1| <= (1/2 + 2^-67)(a1 + a2) and |k2| <= (1/2 + 2^-67)(|b1| + |b2|).
-  // |b| < 2^128 keeps g below 2^195.
-  U256 g1, g2;
-};
-
 U256 negated(const U256& x) {
   U256 out;
   U256::sub(U256::zero(), x, out);
   return out;
-}
-
-/// x^((q-1)/3) mod q for the first x = 2, 3, ... that is not a cube.
-U256 cube_root_of_unity(const U256& modulus) {
-  const BigUint q(modulus);
-  const auto [e, rem] = BigUint::divmod(q - BigUint(1), BigUint(3));
-  if (!rem.is_zero()) throw std::logic_error("glv: 3 does not divide q - 1");
-  for (uint64_t x = 2;; ++x) {
-    const BigUint w = BigUint::mod_pow(BigUint(x), e, q);
-    if (!w.is_one()) return w.to_u256();
-  }
-}
-
-// Runs once; cold keeps the curve arithmetic it calls out of line.
-[[gnu::cold]] Glv derive_glv() {
-  Glv g;
-  g.beta = Fp::from_u256(cube_root_of_unity(FpTag::kModulus));
-  g.lambda = Fr::from_u256(cube_root_of_unity(FrTag::kModulus));
-  // phi multiplies G by lambda or by the other root, lambda^2.
-  const G1Affine gen = G1Curve::generator_affine();
-  const G1Affine phi_gen = G1Affine::from_xy(g.beta * gen.x, gen.y);
-  auto times_gen = [](const Fr& k) { return G1::generator().mul(k).to_affine(); };
-  if (!(times_gen(g.lambda) == phi_gen)) g.lambda = g.lambda.squared();
-  if (!(times_gen(g.lambda) == phi_gen))
-    throw std::logic_error("glv: phi(G) is not a multiple of G");
-
-  // Extended Euclid on (r, lambda) (Guide to Elliptic Curve Cryptography,
-  // Alg. 3.74): r_i = s_i * r + t_i * lambda, so (r_i, -t_i) lies in the
-  // lattice. The t_i alternate in sign from t_1 = 1, so -t_i < 0 exactly
-  // for odd i, and t holds |t_i|. Stop at the first i = m + 1 with
-  // r_i < sqrt(r); r is prime, so r_{m+2} exists.
-  const BigUint r(FrTag::kModulus);
-  BigUint r0 = r, r1(g.lambda.to_u256()), t0(0), t1(1);
-  size_t i = 1;  // the index of r1
-  auto step = [&] {
-    auto [q, rem] = BigUint::divmod(r0, r1);
-    BigUint t = t0 + q * t1;
-    r0 = std::exchange(r1, std::move(rem));
-    t0 = std::exchange(t1, std::move(t));
-    ++i;
-  };
-  while (r1 * r1 >= r) step();
-  struct Vec {  // (a, b) with a >= 0 and b = (b_neg ? -1 : 1) * |b|
-    BigUint a, b;
-    bool b_neg;
-  };
-  Vec v1{r1, t1, i % 2 == 1}, v2{r0, t0, i % 2 == 0};  // rows m + 1, m
-  step();
-  const Vec v3{r1, t1, i % 2 == 1};  // row m + 2
-  auto norm = [](const Vec& v) { return v.a * v.a + v.b * v.b; };
-  if (norm(v3) < norm(v2)) v2 = v3;
-  // Adjacent rows, so b1 and b2 differ in sign; with b1 < 0 < b2,
-  // a1 * b2 - a2 * b1 = a1 * |b2| + a2 * |b1|, which must be r.
-  if (v2.b_neg) std::swap(v1, v2);
-  if (!v1.b_neg || v2.b_neg || !(v1.a * v2.b + v2.a * v1.b == r))
-    throw std::logic_error("glv: basis does not span the lattice");
-  const BigUint half_range = BigUint(1) << 128;
-  if (v1.a + v2.a >= half_range || v1.b + v2.b >= half_range)
-    throw std::logic_error("glv: basis too long for 128-bit halves");
-
-  g.a1 = v1.a.to_u256();
-  g.b1 = negated(v1.b.to_u256());
-  g.a2 = v2.a.to_u256();
-  g.b2 = v2.b.to_u256();
-  auto rounding = [&](const BigUint& b) {
-    return (((b << 320) + (r >> 1)) / r).to_u256();
-  };
-  g.g1 = rounding(v2.b);  // c1 = round(k * b2 / r): b2 > 0
-  g.g2 = rounding(v1.b);  // c2 = round(-k * b1 / r): b1 < 0
-  return g;
-}
-
-const Glv& glv() {
-  static const Glv g = derive_glv();
-  return g;
 }
 
 /// The 512-bit product a * b, least significant limb first.
@@ -148,11 +54,27 @@ template void G1::batch_to_affine(std::span<const G1>, std::span<G1Affine>);
 template G1 detail::msm_straus<G1Curve>(std::span<const G1Affine>,
                                         std::span<const U256>);
 
-const Fp& G1Curve::glv_beta() { return glv().beta; }
-const Fr& G1Curve::glv_lambda() { return glv().lambda; }
+const Fp& G1Curve::glv_beta() {
+  static const Fp beta = Fp::from_u256(
+      U256{{0xe4bd44e5607cfd48ull, 0xc28f069fbb966e3dull,
+            0x5e6dd9e7e0acccb0ull, 0x30644e72e131a029ull}});
+  return beta;
+}
+
+const Fr& G1Curve::glv_lambda() {
+  static const Fr lambda = Fr::from_u256(
+      U256{{0xb8ca0b2d36636f23ull, 0xcc37a73fec2bc5e9ull,
+            0x048b6e193fd84104ull, 0x30644e72e131a029ull}});
+  return lambda;
+}
 
 GlvSplit G1Curve::glv_split(const U256& k) {
-  const Glv& g = glv();
+  // b1 < 0 < b2, so Babai's c1 = round(k * b2 / r) and
+  // c2 = round(-k * b1 / r) are both (k * g + 2^319) >> 320. For
+  // k < r < 2^254 the shifted product is within 2^254 / 2^321 = 2^-67 of
+  // k * |b| / r, so |k1| <= (1/2 + 2^-67)(a1 + a2) and
+  // |k2| <= (1/2 + 2^-67)(|b1| + |b2|). |b| < 2^128 keeps g below 2^195.
+  const GlvBasis& g = kGlvBasis;
   const U256 c1 = round_shift_320(k, g.g1), c2 = round_shift_320(k, g.g2);
   // (k1, k2) = (k, 0) - c1 * v1 - c2 * v2. Both halves lie in
   // (-2^128, 2^128), so arithmetic mod 2^256 gives them exactly.

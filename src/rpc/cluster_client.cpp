@@ -380,53 +380,7 @@ ClusterRollup ClusterClient::stats_rollup() {
         mark_down(i);
       continue;
     }
-    DaemonStats& t = roll.total;
-    const DaemonStats& s = row.stats;
-    t.tenants += s.tenants;
-    t.deduped_keys += s.deduped_keys;
-    t.connections += s.connections;
-    t.open_connections += s.open_connections;
-    t.conns_rejected += s.conns_rejected;
-    t.auth_failures += s.auth_failures;
-    t.frames_in += s.frames_in;
-    t.protocol_errors += s.protocol_errors;
-    t.cache_hits += s.cache_hits;
-    t.cache_misses += s.cache_misses;
-    t.cache_evictions += s.cache_evictions;
-    t.cache_resident_entries += s.cache_resident_entries;
-    t.cache_resident_bytes += s.cache_resident_bytes;
-    t.verify_submitted += s.verify_submitted;
-    t.verify_batches += s.verify_batches;
-    t.verify_fallbacks += s.verify_fallbacks;
-    t.verify_accepted += s.verify_accepted;
-    t.verify_rejected += s.verify_rejected;
-    t.verify_sheds += s.verify_sheds;
-    t.verify_errors += s.verify_errors;
-    t.verify_in_progress += s.verify_in_progress;
-    t.combines += s.combines;
-    for (const auto& r : s.schemes) {
-      auto it = std::find_if(t.schemes.begin(), t.schemes.end(),
-                             [&](const SchemeStatsRow& x) {
-                               return x.scheme == r.scheme;
-                             });
-      if (it == t.schemes.end()) {
-        t.schemes.push_back(r);
-        continue;
-      }
-      it->tenants += r.tenants;
-      it->deduped += r.deduped;
-      it->verify_submitted += r.verify_submitted;
-      it->verify_batches += r.verify_batches;
-      it->verify_fallbacks += r.verify_fallbacks;
-      it->verify_accepted += r.verify_accepted;
-      it->verify_rejected += r.verify_rejected;
-      it->verify_sheds += r.verify_sheds;
-      it->verify_errors += r.verify_errors;
-      it->verify_in_progress += r.verify_in_progress;
-      it->cache_lookups += r.cache_lookups;
-      it->cache_misses += r.cache_misses;
-      it->combines += r.combines;
-    }
+    roll.total.merge(row.stats);
   }
   return roll;
 }

@@ -897,9 +897,11 @@ void RpcServer::handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
         committee_by_digest_.emplace(committee_digest,
                                      CommitteeEntry{scheme->id(), committee});
     }
-    bool deduped = verifier_cache_.add_alias(req.key, digest);
+    const auto alias = verifier_cache_.add_alias(req.key, digest);
     if (committee) combiner_cache_.add_alias(req.key, committee_digest);
-    if (deduped)
+    // The row is the one dedup count (STATS' global field sums the rows):
+    // a re-REGISTER under an unchanged pk moves neither.
+    if (alias.counted)
       deduped_by_scheme_[threshold::scheme_stats_slot(scheme->id())].fetch_add(
           1, std::memory_order_relaxed);
     {
@@ -908,7 +910,7 @@ void RpcServer::handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
     }
     ByteWriter w;
     encode_response_header(w, Status::kOk, id);
-    w.u8(deduped ? 1 : 0);
+    w.u8(alias.deduped ? 1 : 0);
     send_now(c, w.take());
   } catch (const std::exception& e) {
     send_now(c, encode_error(id, e.what()));
@@ -1146,21 +1148,56 @@ service::ServiceStats RpcServer::verify_stats() const {
 }
 
 HealthStats RpcServer::snapshot_health() const {
+  return health_from(verify_->stats_all());
+}
+
+DaemonStats RpcServer::snapshot_stats() const {
+  // ONE lock acquisition per service for the totals AND every per-scheme
+  // slice: separate stats() calls could interleave with a flush committing
+  // verdicts, making the global row disagree with the sum of the per-scheme
+  // rows and transiently breaking the accounting identity
+  //   submitted == accepted + rejected + sheds + errors + in_progress
+  // that the chaos tests (and any alerting built on STATS) assert on. The
+  // combine counters come the same way, so `combines` always equals the
+  // sum of the rows' `combines`.
+  return stats_from(verify_->stats_all(), combine_->stats_all());
+}
+
+HealthStats RpcServer::health_from(const VerifyBundle& vb) const {
   HealthStats h;
   h.in_flight = in_flight_.load(std::memory_order_acquire);
   h.inflight_cap = cfg_.max_in_flight;
-  h.queue_depth = verify_->pending();
+  h.queue_depth = vb.pending;
   // Exact per-loop aggregation: each loop owns its slice, HEALTH sums them.
   for (const auto& L : loops_) {
     h.busy_inflight += L->busy_inflight.load(std::memory_order_relaxed);
     h.busy_ratelimit += L->busy_ratelimit.load(std::memory_order_relaxed);
     h.shed_arrival += L->shed_arrival.load(std::memory_order_relaxed);
   }
-  h.shed_in_service = verify_->stats().deadline_sheds;
+  h.shed_in_service = vb.total.deadline_sheds;
   return h;
 }
 
-DaemonStats RpcServer::snapshot_stats() const {
+namespace {
+
+/// The verify-service fields, which DaemonStats and SchemeStatsRow name
+/// alike.
+template <class Row>
+void fill_verify(Row& row, const service::ServiceStats& v) {
+  row.verify_submitted = v.submitted;
+  row.verify_batches = v.batches;
+  row.verify_fallbacks = v.fallbacks;
+  row.verify_accepted = v.accepted;
+  row.verify_rejected = v.rejected;
+  row.verify_sheds = v.deadline_sheds;
+  row.verify_errors = v.errors;
+  row.verify_in_progress = v.in_progress;
+}
+
+}  // namespace
+
+DaemonStats RpcServer::stats_from(const VerifyBundle& vb,
+                                  const CombineBundle& cb) const {
   DaemonStats s;
   // Per-tenant routing table: total + per-scheme tenant counts.
   std::array<uint64_t, threshold::kSchemeIdCount + 1> tenants_by_scheme{};
@@ -1183,66 +1220,33 @@ DaemonStats RpcServer::snapshot_stats() const {
   s.open_connections = total_conns_.load(std::memory_order_acquire);
   s.auth_failures = auth_failures_.load(std::memory_order_relaxed);
 
-  auto add_cache = [&s](const service::KeyCacheStats& cs) {
+  for (const auto& cs : {verifier_cache_.stats(), combiner_cache_.stats()}) {
     s.cache_hits += cs.hits;
     s.cache_misses += cs.misses;
     s.cache_evictions += cs.evictions;
     s.cache_resident_entries += cs.resident_entries;
     s.cache_resident_bytes += cs.resident_bytes;
-  };
-  auto vc = verifier_cache_.stats();
-  add_cache(vc);
-  add_cache(combiner_cache_.stats());
-  // pk-level dedup: tenants that mapped onto an already-registered pk
-  // digest in the verifier cache (the combiner's committee-level aliases
-  // would double-count the same tenants).
-  s.deduped_keys = vc.deduped;
-
-  // ONE lock acquisition for the verify totals AND every per-scheme slice:
-  // separate stats() calls could interleave with a flush committing
-  // verdicts, making the global row disagree with the sum of the per-scheme
-  // rows and transiently breaking the accounting identity
-  //   submitted == accepted + rejected + sheds + errors + in_progress
-  // that the chaos tests (and any alerting built on STATS) assert on. The
-  // combine counters come the same way, so `combines` always equals the
-  // sum of the rows' `combines`.
-  service::MultiTenantVerificationService::StatsBundle vb =
-      verify_->stats_all();
-  service::MultiTenantCombineService::StatsBundle cb = combine_->stats_all();
-  const service::ServiceStats& vs = vb.total;
-  s.verify_submitted = vs.submitted;
-  s.verify_batches = vs.batches;
-  s.verify_fallbacks = vs.fallbacks;
-  s.verify_accepted = vs.accepted;
-  s.verify_rejected = vs.rejected;
-  s.verify_sheds = vs.deadline_sheds;
-  s.verify_errors = vs.errors;
-  s.verify_in_progress = vs.in_progress;
+  }
+  fill_verify(s, vb.total);
   s.combines = cb.total.submitted;
 
   // One row per scheme the registry serves — the registry knows every
   // scheme uniformly, so nothing here is per-family code.
   for (const threshold::Scheme* scheme : registry_.schemes()) {
+    const size_t slot = threshold::scheme_stats_slot(scheme->id());
     SchemeStatsRow row;
     row.scheme = static_cast<uint8_t>(scheme->id());
-    row.tenants = tenants_by_scheme[threshold::scheme_stats_slot(scheme->id())];
-    row.deduped = deduped_by_scheme_[threshold::scheme_stats_slot(scheme->id())].load(
-        std::memory_order_relaxed);
-    const service::ServiceStats& sv =
-        vb.by_scheme[threshold::scheme_stats_slot(scheme->id())];
-    row.verify_submitted = sv.submitted;
-    row.verify_batches = sv.batches;
-    row.verify_fallbacks = sv.fallbacks;
-    row.verify_accepted = sv.accepted;
-    row.verify_rejected = sv.rejected;
-    row.verify_sheds = sv.deadline_sheds;
-    row.verify_errors = sv.errors;
-    row.verify_in_progress = sv.in_progress;
-    const service::MultiTenantCombineService::Stats& cs =
-        cb.by_scheme[threshold::scheme_stats_slot(scheme->id())];
-    row.cache_lookups = sv.cache_lookups + cs.cache_lookups;
-    row.cache_misses = sv.cache_misses + cs.cache_misses;
+    row.tenants = tenants_by_scheme[slot];
+    row.deduped = deduped_by_scheme_[slot].load(std::memory_order_relaxed);
+    fill_verify(row, vb.by_scheme[slot]);
+    const service::MultiTenantCombineService::Stats& cs = cb.by_scheme[slot];
+    row.cache_lookups = vb.by_scheme[slot].cache_lookups + cs.cache_lookups;
+    row.cache_misses = vb.by_scheme[slot].cache_misses + cs.cache_misses;
     row.combines = cs.submitted;
+    // pk-level dedup: tenants that mapped onto an already-registered pk
+    // digest (the combiner's committee-level aliases would double-count
+    // the same tenants).
+    s.deduped_keys += row.deduped;
     s.schemes.push_back(row);
   }
   return s;
@@ -1250,83 +1254,25 @@ DaemonStats RpcServer::snapshot_stats() const {
 
 obs::MetricsSnapshot RpcServer::metrics_snapshot(bool include_traces) const {
   obs::MetricsSnapshot m;
-  DaemonStats s = snapshot_stats();
-  HealthStats h = snapshot_health();
-  // One counter behind two series: take it from the STATS snapshot's one
-  // service lock, so bnr_verify_sheds_total and bnr_shed_in_service_total
+  // One service snapshot behind both STATS and HEALTH, so series that read
+  // the same counter (bnr_verify_sheds_total, bnr_shed_in_service_total)
   // agree within every scrape.
-  h.shed_in_service = s.verify_sheds;
+  const VerifyBundle vb = verify_->stats_all();
+  const DaemonStats s = stats_from(vb, combine_->stats_all());
+  const HealthStats h = health_from(vb);
 
-  using obs::MetricKind;
-  auto point = [&m](std::string name, std::string labels, MetricKind kind,
-                    uint64_t value) {
-    m.points.push_back(
-        obs::MetricPoint{std::move(name), std::move(labels), kind, value});
+  auto points = [&m](const auto& table, const auto& values,
+                     const std::string& labels) {
+    for (const auto& f : table)
+      m.points.push_back(
+          obs::MetricPoint{f.series, labels, f.kind, values.*f.member});
   };
-
-  point("bnr_tenants", "", MetricKind::kGauge, s.tenants);
-  point("bnr_deduped_keys_total", "", MetricKind::kCounter, s.deduped_keys);
-  point("bnr_connections_total", "", MetricKind::kCounter, s.connections);
-  point("bnr_connections_rejected_total", "", MetricKind::kCounter,
-        s.conns_rejected);
-  point("bnr_open_connections", "", MetricKind::kGauge, s.open_connections);
-  point("bnr_frames_in_total", "", MetricKind::kCounter, s.frames_in);
-  point("bnr_protocol_errors_total", "", MetricKind::kCounter,
-        s.protocol_errors);
-  point("bnr_auth_failures_total", "", MetricKind::kCounter, s.auth_failures);
-  point("bnr_cache_hits_total", "", MetricKind::kCounter, s.cache_hits);
-  point("bnr_cache_misses_total", "", MetricKind::kCounter, s.cache_misses);
-  point("bnr_cache_evictions_total", "", MetricKind::kCounter,
-        s.cache_evictions);
-  point("bnr_cache_resident_entries", "", MetricKind::kGauge,
-        s.cache_resident_entries);
-  point("bnr_cache_resident_bytes", "", MetricKind::kGauge,
-        s.cache_resident_bytes);
-  point("bnr_verify_submitted_total", "", MetricKind::kCounter,
-        s.verify_submitted);
-  point("bnr_verify_batches_total", "", MetricKind::kCounter,
-        s.verify_batches);
-  point("bnr_verify_fallbacks_total", "", MetricKind::kCounter,
-        s.verify_fallbacks);
-  point("bnr_verify_accepted_total", "", MetricKind::kCounter,
-        s.verify_accepted);
-  point("bnr_verify_rejected_total", "", MetricKind::kCounter,
-        s.verify_rejected);
-  point("bnr_verify_sheds_total", "", MetricKind::kCounter, s.verify_sheds);
-  point("bnr_verify_errors_total", "", MetricKind::kCounter, s.verify_errors);
-  point("bnr_verify_in_progress", "", MetricKind::kGauge,
-        s.verify_in_progress);
-  point("bnr_combines_total", "", MetricKind::kCounter, s.combines);
-  point("bnr_in_flight", "", MetricKind::kGauge, h.in_flight);
-  point("bnr_in_flight_cap", "", MetricKind::kGauge, h.inflight_cap);
-  point("bnr_queue_depth", "", MetricKind::kGauge, h.queue_depth);
-  point("bnr_busy_inflight_total", "", MetricKind::kCounter, h.busy_inflight);
-  point("bnr_busy_ratelimit_total", "", MetricKind::kCounter,
-        h.busy_ratelimit);
-  point("bnr_shed_arrival_total", "", MetricKind::kCounter, h.shed_arrival);
-  point("bnr_shed_in_service_total", "", MetricKind::kCounter,
-        h.shed_in_service);
+  points(kDaemonStatsFields, s, "");
+  points(kHealthFields, h, "");
 
   for (const threshold::Scheme* scheme : registry_.schemes()) {
-    const SchemeStatsRow* row = nullptr;
-    for (const auto& r : s.schemes)
-      if (r.scheme == uint8_t(scheme->id())) row = &r;
-    if (!row) continue;
-    std::string lbl = "scheme=\"" + std::string(scheme->name()) + "\"";
-    point("bnr_scheme_tenants", lbl, MetricKind::kGauge, row->tenants);
-    point("bnr_scheme_verify_submitted_total", lbl, MetricKind::kCounter,
-          row->verify_submitted);
-    point("bnr_scheme_verify_accepted_total", lbl, MetricKind::kCounter,
-          row->verify_accepted);
-    point("bnr_scheme_verify_rejected_total", lbl, MetricKind::kCounter,
-          row->verify_rejected);
-    point("bnr_scheme_verify_sheds_total", lbl, MetricKind::kCounter,
-          row->verify_sheds);
-    point("bnr_scheme_verify_errors_total", lbl, MetricKind::kCounter,
-          row->verify_errors);
-    point("bnr_scheme_combines_total", lbl, MetricKind::kCounter,
-          row->combines);
-
+    const std::string lbl = "scheme=\"" + std::string(scheme->name()) + "\"";
+    points(kSchemeRowFields, s.scheme_row(scheme->id()), lbl);
     obs::HistogramSnapshot vlat = verify_->latency(scheme->id());
     if (vlat.count)
       m.histograms.push_back(obs::MetricHistogram{

@@ -251,6 +251,14 @@ class RpcServer {
   /// or fails setup.
   bool reserve_conn_slot();
 
+  using VerifyBundle = service::MultiTenantVerificationService::StatsBundle;
+  using CombineBundle = service::MultiTenantCombineService::StatsBundle;
+  /// STATS and HEALTH from the services' one-lock snapshots, so a caller
+  /// that needs both (METRICS) reads each service once.
+  DaemonStats stats_from(const VerifyBundle& vb,
+                         const CombineBundle& cb) const;
+  HealthStats health_from(const VerifyBundle& vb) const;
+
   ServerConfig cfg_;
   service::ThreadPool& pool_;
   threshold::SystemParams params_;

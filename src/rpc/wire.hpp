@@ -76,7 +76,9 @@
 // malformed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -183,9 +185,8 @@ struct CombineResult {
   std::vector<uint32_t> cheaters;
 };
 
-/// One scheme's slice of the daemon's counters. Fixed u64 fields in
-/// declaration order on the wire after the u8 scheme id — add new fields at
-/// the END of the row.
+/// One scheme's slice of the daemon's counters: the scheme id, then u64
+/// fields, each named once in kSchemeRowFields below (their wire order).
 struct SchemeStatsRow {
   uint8_t scheme = 0;  // threshold::SchemeId
   uint64_t tenants = 0;
@@ -198,21 +199,20 @@ struct SchemeStatsRow {
   uint64_t cache_lookups = 0;    // verify+combine groups routed via the cache
   uint64_t cache_misses = 0;     // ... that had to prepare
   uint64_t combines = 0;
-  // PR 9 coherence tail: with these, one STATS frame carries the exact
-  // accounting identity  submitted == accepted + rejected + sheds + errors
-  // + in_progress  (snapshotted under ONE service lock, so it holds even
-  // mid-flight).
+  // With these, one STATS frame carries the exact accounting identity
+  //   submitted == accepted + rejected + sheds + errors + in_progress
+  // (snapshotted under ONE service lock, so it holds even mid-flight).
   uint64_t verify_sheds = 0;        // in-service deadline sheds (submitted,
                                     // then dropped before their fold ran)
   uint64_t verify_errors = 0;       // completions by exception
   uint64_t verify_in_progress = 0;  // submitted, outcome not yet committed
 };
 
-/// One aggregate stats snapshot over the whole daemon: global fixed u64
-/// fields in declaration order (add at the END), then a row per scheme the
-/// registry serves. The global verify/combine/dedup fields are the sums of
-/// the rows; cache_* report the shared caches, which the rows break down by
-/// scheme via service-observed lookups/misses.
+/// One aggregate stats snapshot over the whole daemon: global u64 fields
+/// (wire order in kDaemonStatsFields), then a row per scheme the registry
+/// serves. The global verify/combine/dedup fields are the sums of the rows;
+/// cache_* report the shared caches, which the rows break down by scheme
+/// via service-observed lookups/misses.
 struct DaemonStats {
   uint64_t tenants = 0;          // registered tenant key-ids
   uint64_t deduped_keys = 0;     // tenants sharing an already-known pk digest
@@ -245,13 +245,17 @@ struct DaemonStats {
       if (r.scheme == static_cast<uint8_t>(id)) return r;
     return {};
   }
+
+  /// Adds `other` field by field, merging scheme rows by scheme id (the
+  /// cluster rollup).
+  void merge(const DaemonStats& other);
 };
 
-/// HEALTH response body: the daemon's overload counters as fixed u64 fields
-/// in declaration order (add new fields at the END). Everything an operator
-/// (or the chaos suite's exact-accounting assertions) needs to attribute
-/// rejected load: how much is in flight right now, how deep the service
-/// queue is, and how many requests each admission-control layer turned away.
+/// HEALTH response body: the daemon's overload counters (wire order in
+/// kHealthFields). Everything an operator (or the chaos suite's
+/// exact-accounting assertions) needs to attribute rejected load: how much
+/// is in flight right now, how deep the service queue is, and how many
+/// requests each admission-control layer turned away.
 struct HealthStats {
   uint64_t in_flight = 0;       // dispatched into the services, unanswered
   uint64_t inflight_cap = 0;    // configured cap (0 = uncapped)
@@ -261,6 +265,96 @@ struct HealthStats {
   uint64_t shed_arrival = 0;    // SHED: budget already spent at decode time
   uint64_t shed_in_service = 0; // SHED: budget expired before its fold ran
 };
+
+// ---------------------------------------------------------------------------
+// Counter tables: each u64 field of the three structs above is named once,
+// with its METRICS series and kind. A table's order is its struct's wire
+// order (add new fields at the END); the STATS/HEALTH codecs, the rollup
+// merge and RpcServer::metrics_snapshot all loop over these.
+
+template <class S>
+struct CounterField {
+  uint64_t S::*member;
+  const char* series;  // `_total` = lifetime counter, bare name = gauge
+  obs::MetricKind kind;
+};
+
+inline constexpr auto kCounter = obs::MetricKind::kCounter;
+inline constexpr auto kGauge = obs::MetricKind::kGauge;
+
+inline constexpr CounterField<DaemonStats> kDaemonStatsFields[] = {
+    {&DaemonStats::tenants, "bnr_tenants", kGauge},
+    {&DaemonStats::deduped_keys, "bnr_deduped_keys_total", kCounter},
+    {&DaemonStats::connections, "bnr_connections_total", kCounter},
+    {&DaemonStats::conns_rejected, "bnr_connections_rejected_total", kCounter},
+    {&DaemonStats::auth_failures, "bnr_auth_failures_total", kCounter},
+    {&DaemonStats::frames_in, "bnr_frames_in_total", kCounter},
+    {&DaemonStats::protocol_errors, "bnr_protocol_errors_total", kCounter},
+    {&DaemonStats::cache_hits, "bnr_cache_hits_total", kCounter},
+    {&DaemonStats::cache_misses, "bnr_cache_misses_total", kCounter},
+    {&DaemonStats::cache_evictions, "bnr_cache_evictions_total", kCounter},
+    {&DaemonStats::cache_resident_entries, "bnr_cache_resident_entries",
+     kGauge},
+    {&DaemonStats::cache_resident_bytes, "bnr_cache_resident_bytes", kGauge},
+    {&DaemonStats::verify_submitted, "bnr_verify_submitted_total", kCounter},
+    {&DaemonStats::verify_batches, "bnr_verify_batches_total", kCounter},
+    {&DaemonStats::verify_fallbacks, "bnr_verify_fallbacks_total", kCounter},
+    {&DaemonStats::verify_accepted, "bnr_verify_accepted_total", kCounter},
+    {&DaemonStats::verify_rejected, "bnr_verify_rejected_total", kCounter},
+    {&DaemonStats::combines, "bnr_combines_total", kCounter},
+    {&DaemonStats::open_connections, "bnr_open_connections", kGauge},
+    {&DaemonStats::verify_sheds, "bnr_verify_sheds_total", kCounter},
+    {&DaemonStats::verify_errors, "bnr_verify_errors_total", kCounter},
+    {&DaemonStats::verify_in_progress, "bnr_verify_in_progress", kGauge},
+};
+
+/// After its u8 scheme id; the series carry a `scheme="<name>"` label.
+inline constexpr CounterField<SchemeStatsRow> kSchemeRowFields[] = {
+    {&SchemeStatsRow::tenants, "bnr_scheme_tenants", kGauge},
+    {&SchemeStatsRow::deduped, "bnr_scheme_deduped_total", kCounter},
+    {&SchemeStatsRow::verify_submitted, "bnr_scheme_verify_submitted_total",
+     kCounter},
+    {&SchemeStatsRow::verify_batches, "bnr_scheme_verify_batches_total",
+     kCounter},
+    {&SchemeStatsRow::verify_fallbacks, "bnr_scheme_verify_fallbacks_total",
+     kCounter},
+    {&SchemeStatsRow::verify_accepted, "bnr_scheme_verify_accepted_total",
+     kCounter},
+    {&SchemeStatsRow::verify_rejected, "bnr_scheme_verify_rejected_total",
+     kCounter},
+    {&SchemeStatsRow::cache_lookups, "bnr_scheme_cache_lookups_total",
+     kCounter},
+    {&SchemeStatsRow::cache_misses, "bnr_scheme_cache_misses_total", kCounter},
+    {&SchemeStatsRow::combines, "bnr_scheme_combines_total", kCounter},
+    {&SchemeStatsRow::verify_sheds, "bnr_scheme_verify_sheds_total", kCounter},
+    {&SchemeStatsRow::verify_errors, "bnr_scheme_verify_errors_total",
+     kCounter},
+    {&SchemeStatsRow::verify_in_progress, "bnr_scheme_verify_in_progress",
+     kGauge},
+};
+
+inline constexpr CounterField<HealthStats> kHealthFields[] = {
+    {&HealthStats::in_flight, "bnr_in_flight", kGauge},
+    {&HealthStats::inflight_cap, "bnr_in_flight_cap", kGauge},
+    {&HealthStats::queue_depth, "bnr_queue_depth", kGauge},
+    {&HealthStats::busy_inflight, "bnr_busy_inflight_total", kCounter},
+    {&HealthStats::busy_ratelimit, "bnr_busy_ratelimit_total", kCounter},
+    {&HealthStats::shed_arrival, "bnr_shed_arrival_total", kCounter},
+    {&HealthStats::shed_in_service, "bnr_shed_in_service_total", kCounter},
+};
+
+inline void DaemonStats::merge(const DaemonStats& other) {
+  for (const auto& f : kDaemonStatsFields) this->*f.member += other.*f.member;
+  for (const SchemeStatsRow& r : other.schemes) {
+    auto it = std::find_if(
+        schemes.begin(), schemes.end(),
+        [&](const SchemeStatsRow& x) { return x.scheme == r.scheme; });
+    if (it == schemes.end())
+      schemes.push_back(r);
+    else
+      for (const auto& f : kSchemeRowFields) (*it).*f.member += r.*f.member;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -428,24 +522,11 @@ inline Bytes encode_combine_result(const CombineResult& r) {
 
 inline Bytes encode_stats(const DaemonStats& s) {
   ByteWriter w;
-  for (uint64_t v :
-       {s.tenants, s.deduped_keys, s.connections, s.conns_rejected,
-        s.auth_failures, s.frames_in, s.protocol_errors, s.cache_hits,
-        s.cache_misses, s.cache_evictions, s.cache_resident_entries,
-        s.cache_resident_bytes, s.verify_submitted, s.verify_batches,
-        s.verify_fallbacks, s.verify_accepted, s.verify_rejected, s.combines,
-        s.open_connections, s.verify_sheds, s.verify_errors,
-        s.verify_in_progress})
-    w.u64(v);
+  for (const auto& f : kDaemonStatsFields) w.u64(s.*f.member);
   w.u32(static_cast<uint32_t>(s.schemes.size()));
   for (const auto& r : s.schemes) {
     w.u8(r.scheme);
-    for (uint64_t v :
-         {r.tenants, r.deduped, r.verify_submitted, r.verify_batches,
-          r.verify_fallbacks, r.verify_accepted, r.verify_rejected,
-          r.cache_lookups, r.cache_misses, r.combines, r.verify_sheds,
-          r.verify_errors, r.verify_in_progress})
-      w.u64(v);
+    for (const auto& f : kSchemeRowFields) w.u64(r.*f.member);
   }
   return w.take();
 }
@@ -500,10 +581,7 @@ inline Bytes encode_metrics_snapshot(const obs::MetricsSnapshot& m) {
 
 inline Bytes encode_health(const HealthStats& h) {
   ByteWriter w;
-  for (uint64_t v : {h.in_flight, h.inflight_cap, h.queue_depth,
-                     h.busy_inflight, h.busy_ratelimit, h.shed_arrival,
-                     h.shed_in_service})
-    w.u64(v);
+  for (const auto& f : kHealthFields) w.u64(h.*f.member);
   return w.take();
 }
 
@@ -616,35 +694,20 @@ inline CombineResult decode_combine_result(ByteReader& rd) {
 
 inline HealthStats decode_health(ByteReader& rd) {
   HealthStats h;
-  for (uint64_t* f : {&h.in_flight, &h.inflight_cap, &h.queue_depth,
-                      &h.busy_inflight, &h.busy_ratelimit, &h.shed_arrival,
-                      &h.shed_in_service})
-    *f = rd.u64();
+  for (const auto& f : kHealthFields) h.*f.member = rd.u64();
   return h;
 }
 
 inline DaemonStats decode_stats(ByteReader& rd) {
   DaemonStats s;
-  for (uint64_t* f :
-       {&s.tenants, &s.deduped_keys, &s.connections, &s.conns_rejected,
-        &s.auth_failures, &s.frames_in, &s.protocol_errors, &s.cache_hits,
-        &s.cache_misses, &s.cache_evictions, &s.cache_resident_entries,
-        &s.cache_resident_bytes, &s.verify_submitted, &s.verify_batches,
-        &s.verify_fallbacks, &s.verify_accepted, &s.verify_rejected,
-        &s.combines, &s.open_connections, &s.verify_sheds, &s.verify_errors,
-        &s.verify_in_progress})
-    *f = rd.u64();
-  uint32_t rows = rd.count(105);  // u8 id + 13 u64 fields per row
+  for (const auto& f : kDaemonStatsFields) s.*f.member = rd.u64();
+  // Each row is a u8 scheme id and its u64 fields.
+  uint32_t rows = rd.count(1 + 8 * std::size(kSchemeRowFields));
   s.schemes.reserve(rows);
   for (uint32_t j = 0; j < rows; ++j) {
     SchemeStatsRow r;
     r.scheme = rd.u8();
-    for (uint64_t* f :
-         {&r.tenants, &r.deduped, &r.verify_submitted, &r.verify_batches,
-          &r.verify_fallbacks, &r.verify_accepted, &r.verify_rejected,
-          &r.cache_lookups, &r.cache_misses, &r.combines, &r.verify_sheds,
-          &r.verify_errors, &r.verify_in_progress})
-      *f = rd.u64();
+    for (const auto& f : kSchemeRowFields) r.*f.member = rd.u64();
     s.schemes.push_back(r);
   }
   return s;

@@ -227,27 +227,33 @@ class KeyCacheManager {
     return pin;
   }
 
+  struct AliasResult {
+    bool deduped = false;  // `canonical` is shared with another alias
+    bool counted = false;  // ... and this call added one to stats().deduped
+  };
+
   /// Maps `alias` (a tenant key-id) onto `canonical` (e.g. "ro:<pk digest>"):
   /// lookups under the alias are served from the canonical entry, so tenants
-  /// sharing a public key share one prepared footprint. Returns true when
-  /// `canonical` was already the target of another registration — i.e. this
-  /// tenant's prepared state was deduplicated.
-  bool add_alias(const KeyId& alias, const KeyId& canonical) {
+  /// sharing a public key share one prepared footprint. `deduped` when
+  /// `canonical` is also the target of another registration — i.e. this
+  /// tenant's prepared state is deduplicated. Repeating an unchanged mapping
+  /// reports `deduped` as before but counts nothing.
+  AliasResult add_alias(const KeyId& alias, const KeyId& canonical) {
     std::unique_lock<std::shared_mutex> l(alias_m_);
     has_aliases_.store(true, std::memory_order_release);
     auto [it, fresh] = aliases_.try_emplace(alias, canonical);
     if (!fresh) {
       if (it->second == canonical)
-        return canonical_refs_.at(canonical) > 1;
+        return {canonical_refs_.at(canonical) > 1, false};
       // Re-registration under a different pk: move the mapping.
       auto old = canonical_refs_.find(it->second);
       if (old != canonical_refs_.end() && --old->second == 0)
         canonical_refs_.erase(old);
       it->second = canonical;
     }
-    uint64_t refs = ++canonical_refs_[canonical];
-    if (refs > 1) ++dedup_count_;
-    return refs > 1;
+    const bool deduped = ++canonical_refs_[canonical] > 1;
+    if (deduped) ++dedup_count_;
+    return {deduped, deduped};
   }
 
   /// True iff `key` (alias-resolved) is resident. Does not touch recency

@@ -134,30 +134,19 @@ ServiceStats MultiTenantVerificationService::stats() const {
   return total_;
 }
 
-ServiceStats MultiTenantVerificationService::stats(
-    threshold::SchemeId id) const {
-  std::lock_guard<std::mutex> l(m_);
-  return by_scheme_[scheme_stats_slot(id)];
-}
-
 MultiTenantVerificationService::StatsBundle
 MultiTenantVerificationService::stats_all() const {
   StatsBundle b;
   std::lock_guard<std::mutex> l(m_);
   b.total = total_;
   b.by_scheme = by_scheme_;
+  b.pending = pending_.size();
   return b;
 }
 
 obs::HistogramSnapshot MultiTenantVerificationService::latency(
     threshold::SchemeId id) const {
   return latency_[scheme_stats_slot(id)].snapshot();
-}
-
-obs::HistogramSnapshot MultiTenantVerificationService::latency() const {
-  obs::HistogramSnapshot s;
-  for (const auto& h : latency_) s.merge(h.snapshot());
-  return s;
 }
 
 // Moves the pending batch out, splits it into per-key groups (arrival
@@ -522,17 +511,6 @@ std::future<Bytes> MultiTenantCombineService::submit(
   return fut;
 }
 
-MultiTenantCombineService::Stats MultiTenantCombineService::stats() const {
-  std::lock_guard<std::mutex> l(m_);
-  return total_;
-}
-
-MultiTenantCombineService::Stats MultiTenantCombineService::stats(
-    threshold::SchemeId id) const {
-  std::lock_guard<std::mutex> l(m_);
-  return by_scheme_[scheme_stats_slot(id)];
-}
-
 MultiTenantCombineService::StatsBundle MultiTenantCombineService::stats_all()
     const {
   std::lock_guard<std::mutex> l(m_);
@@ -542,12 +520,6 @@ MultiTenantCombineService::StatsBundle MultiTenantCombineService::stats_all()
 obs::HistogramSnapshot MultiTenantCombineService::latency(
     threshold::SchemeId id) const {
   return latency_[scheme_stats_slot(id)].snapshot();
-}
-
-obs::HistogramSnapshot MultiTenantCombineService::latency() const {
-  obs::HistogramSnapshot s;
-  for (const auto& h : latency_) s.merge(h.snapshot());
-  return s;
 }
 
 // ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ struct ServiceStats {
                                  //   submitted == accepted + rejected +
                                  //     deadline_sheds + errors + in_progress
   // Service-observed traffic into the shared key cache (one lookup per key
-  // group; a miss ran the provider). Split per SchemeId by stats(SchemeId) —
+  // group; a miss ran the provider). Split per SchemeId by stats_all() —
   // the cache's own stats cannot attribute by scheme.
   uint64_t cache_lookups = 0;
   uint64_t cache_misses = 0;
@@ -183,37 +183,29 @@ class MultiTenantVerificationService {
   /// Blocks until no request is pending or in flight.
   void drain();
 
-  /// Requests accumulated but not yet dispatched into chunks (the HEALTH
-  /// queue-depth counter).
-  size_t pending() const {
-    std::lock_guard<std::mutex> l(m_);
-    return pending_.size();
-  }
-
   /// Aggregate across every scheme.
   ServiceStats stats() const;
-  /// The per-scheme slice (requests, verdicts, cache lookups/misses of that
-  /// scheme's members and keys; the chunk products, fallbacks and
-  /// sub-products that held one of its members).
-  ServiceStats stats(threshold::SchemeId id) const;
 
   /// The aggregate AND every per-scheme slice captured under ONE lock
   /// acquisition, so an observer polling mid-flight sees a coherent
   /// snapshot: the total equals the sum of the slices, and the accounting
-  /// identity (see ServiceStats::in_progress) holds in every row. STATS
-  /// built from separate stats() calls cannot promise either.
+  /// identity (see ServiceStats::in_progress) holds in every row. A slice
+  /// holds that scheme's requests, verdicts and cache lookups/misses, and
+  /// the chunk products, fallbacks and sub-products that held one of its
+  /// members.
   struct StatsBundle {
     ServiceStats total;
     std::array<ServiceStats, threshold::kSchemeIdCount + 1> by_scheme{};
+    uint64_t pending = 0;  // accumulated, not yet dispatched into chunks
+                           // (the HEALTH queue depth)
   };
   StatsBundle stats_all() const;
 
   /// Verify latency (submit -> verdict commit, nanoseconds) for one
-  /// scheme's requests / merged across schemes. Only completed verdicts
-  /// record — sheds and exceptional completions never do, so
-  /// snapshot().count == accepted + rejected exactly.
+  /// scheme's requests. Only completed verdicts record — sheds and
+  /// exceptional completions never do, so snapshot().count == accepted +
+  /// rejected exactly.
   obs::HistogramSnapshot latency(threshold::SchemeId id) const;
-  obs::HistogramSnapshot latency() const;
 
  private:
   struct Pending {
@@ -332,8 +324,6 @@ class MultiTenantCombineService {
     uint64_t cache_lookups = 0;
     uint64_t cache_misses = 0;
   };
-  Stats stats() const;
-  Stats stats(threshold::SchemeId id) const;
 
   /// The aggregate AND every per-scheme slice under ONE lock acquisition
   /// (see MultiTenantVerificationService::stats_all): the total equals the
@@ -344,10 +334,9 @@ class MultiTenantCombineService {
   };
   StatsBundle stats_all() const;
 
-  /// Combine latency (submit -> outcome, ns); failures record too (the
-  /// pairing work was paid either way).
+  /// Combine latency (submit -> outcome, ns) for one scheme's requests;
+  /// failures record too (the pairing work was paid either way).
   obs::HistogramSnapshot latency(threshold::SchemeId id) const;
-  obs::HistogramSnapshot latency() const;
 
  private:
   Stats& slice_locked(threshold::SchemeId id);

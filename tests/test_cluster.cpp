@@ -276,6 +276,26 @@ TEST_F(ClusterTest, KillOneOfThreeFailsOverAndSurvivorAccountingHolds) {
   EXPECT_FALSE(roll.nodes[owner].up);
   EXPECT_GE(roll.total.verify_accepted, 32u);
   EXPECT_GT(roll.total.open_connections, 0u);
+  // The total sums the up nodes field by field, scheme rows by scheme id.
+  for (const auto& f : kDaemonStatsFields) {
+    uint64_t sum = 0;
+    for (const auto& node : roll.nodes)
+      if (node.up) sum += node.stats.*f.member;
+    EXPECT_EQ(roll.total.*f.member, sum) << f.series;
+  }
+  ASSERT_EQ(roll.total.schemes.size(),
+            servers_[0]->registry().schemes().size());
+  for (const SchemeStatsRow& total : roll.total.schemes) {
+    const auto id = static_cast<SchemeId>(total.scheme);
+    for (const auto& f : kSchemeRowFields) {
+      uint64_t sum = 0;
+      for (const auto& node : roll.nodes)
+        if (node.up) sum += node.stats.scheme_row(id).*f.member;
+      EXPECT_EQ(total.*f.member, sum) << f.series << " scheme " << int(id);
+    }
+  }
+  EXPECT_EQ(roll.total.scheme_row(SchemeId::kRo).tenants, 2u);
+  EXPECT_GE(roll.total.scheme_row(SchemeId::kRo).verify_accepted, 32u);
 }
 
 TEST_F(ClusterTest, SemanticErrorsDoNotFailOver) {

@@ -1,6 +1,7 @@
 // Group-law, subgroup, hash-to-curve and serialization tests for G1/G2.
 #include <gtest/gtest.h>
 
+#include "bn/biguint.hpp"
 #include "common/rng.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "threshold/ro_scheme.hpp"
@@ -258,6 +259,37 @@ TEST(Glv, SplitHalvesAreShortAndRecombine) {
               k)
         << i;
   }
+}
+
+// The properties glv_split relies on, recomputed with BigUint from the
+// transcribed constants.
+TEST(Glv, BasisIsReducedAndRoundingConstantsExact) {
+  const auto& g = G1Curve::kGlvBasis;
+  auto negative = [](const U256& x) { return (x.w[3] >> 63) != 0; };
+  ASSERT_FALSE(negative(g.a1));
+  ASSERT_FALSE(negative(g.a2));
+  ASSERT_TRUE(negative(g.b1));  // b1 < 0 < b2
+  ASSERT_FALSE(negative(g.b2));
+  U256 minus_b1;
+  U256::sub(U256::zero(), g.b1, minus_b1);
+  const BigUint a1(g.a1), a2(g.a2), b1_abs(minus_b1), b2(g.b2);
+  const BigUint r(FrTag::kModulus), lambda(G1Curve::glv_lambda().to_u256());
+
+  // Both vectors lie in the lattice, and together they span it:
+  // a1 * b2 - a2 * b1 = a1 * b2 + a2 * |b1| = r.
+  EXPECT_EQ(a1, (b1_abs * lambda) % r);  // a1 + b1 * lambda = 0 (mod r)
+  EXPECT_EQ((a2 + b2 * lambda) % r, BigUint(0));
+  EXPECT_EQ(a1 * b2 + a2 * b1_abs, r);
+  // Short enough for 128-bit halves.
+  const BigUint half_range = BigUint(1) << 128;
+  EXPECT_LT(a1 + a2, half_range);
+  EXPECT_LT(b1_abs + b2, half_range);
+  // g = round(|b| * 2^320 / r).
+  auto rounding = [&](const BigUint& b) {
+    return (((b << 320) + (r >> 1)) / r).to_u256();
+  };
+  EXPECT_EQ(g.g1, rounding(b2));
+  EXPECT_EQ(g.g2, rounding(b1_abs));
 }
 
 /// 0, 1, 2^32 - 1, 2^128 - 1, 2^128, r - 1, lambda, r - lambda, and two

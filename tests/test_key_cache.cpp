@@ -288,10 +288,14 @@ TEST(KeyCacheAlias, TenantsSharingDigestShareOneEntry) {
   Cache cache({.byte_budget = 1000, .shards = 4});
   std::atomic<uint64_t> destroyed{0};
 
-  EXPECT_FALSE(cache.add_alias("tenant-a", "pk:1234"));
-  EXPECT_TRUE(cache.add_alias("tenant-b", "pk:1234"));  // dedup
-  EXPECT_TRUE(cache.add_alias("tenant-c", "pk:1234"));  // dedup
-  EXPECT_FALSE(cache.add_alias("tenant-d", "pk:9999"));
+  EXPECT_FALSE(cache.add_alias("tenant-a", "pk:1234").deduped);
+  EXPECT_TRUE(cache.add_alias("tenant-b", "pk:1234").counted);  // dedup
+  EXPECT_TRUE(cache.add_alias("tenant-c", "pk:1234").counted);  // dedup
+  EXPECT_FALSE(cache.add_alias("tenant-d", "pk:9999").deduped);
+  // Repeating an unchanged mapping still reports the sharing, uncounted.
+  const auto again = cache.add_alias("tenant-b", "pk:1234");
+  EXPECT_TRUE(again.deduped);
+  EXPECT_FALSE(again.counted);
 
   size_t prepares = 0;
   // The factory receives the canonical key and derives the payload from it
@@ -328,16 +332,16 @@ TEST(KeyCacheAlias, TenantsSharingDigestShareOneEntry) {
 
 TEST(KeyCacheAlias, ReRegistrationMovesTheMapping) {
   Cache cache({.byte_budget = 1000, .shards = 1});
-  EXPECT_FALSE(cache.add_alias("tenant", "pk:old"));
+  EXPECT_FALSE(cache.add_alias("tenant", "pk:old").deduped);
   cache.get_or_prepare("tenant", make("pk:old", 100));
   // Key rotation: the tenant re-registers under a new pk.
-  EXPECT_FALSE(cache.add_alias("tenant", "pk:new"));
+  EXPECT_FALSE(cache.add_alias("tenant", "pk:new").deduped);
   auto p = cache.get_or_prepare("tenant", make("pk:new", 100));
   EXPECT_EQ(p->key, "pk:new");
   // A later tenant landing on the OLD pk is a fresh canonical again (the
   // rotation released it), while the new pk dedups.
-  EXPECT_FALSE(cache.add_alias("other", "pk:old"));
-  EXPECT_TRUE(cache.add_alias("third", "pk:new"));
+  EXPECT_FALSE(cache.add_alias("other", "pk:old").deduped);
+  EXPECT_TRUE(cache.add_alias("third", "pk:new").counted);
   EXPECT_EQ(cache.stats().deduped, 1u);
 }
 

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <thread>
 
 #include "fixtures.hpp"
@@ -379,6 +380,13 @@ TEST_F(RpcDaemonTest, PkDigestDedupAcrossTenants) {
   EXPECT_EQ(cs.deduped, 3u);
   EXPECT_EQ(cs.aliases, 4u);
   EXPECT_EQ(client.stats_sync().deduped_keys, 3u);
+
+  // A re-REGISTER under the same pk still reports the sharing, and moves
+  // neither dedup count: the global field and the scheme row agree.
+  EXPECT_TRUE(client.register_ro_key("tenant-b", km.pk).get());
+  const DaemonStats st = client.stats_sync();
+  EXPECT_EQ(st.deduped_keys, 3u);
+  EXPECT_EQ(st.scheme_row(SchemeId::kRo).deduped, 3u);
 }
 
 TEST_F(RpcDaemonTest, MalformedFrameClosesOnlyThatConnection) {
@@ -1096,6 +1104,148 @@ TEST_F(RpcDaemonTest, MetricsRoundTripAgainstClientOracle) {
     }
   }
   obs::set_enabled(obs_was);
+}
+
+// METRICS mirrors STATS and HEALTH: the per-scheme accounting identity
+// holds for every `scheme` label in one scrape, and at quiescence every
+// STATS and HEALTH scalar equals its point, named and kinded as below.
+TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
+  RpcClient client("127.0.0.1", port());
+  auto km = keygen(3, 1);
+  EXPECT_FALSE(client.register_ro_committee("ro-tenant", km).get());
+  auto [msg, sig] = make_signed(km, "mirror");
+  EXPECT_TRUE(client.verify_sync("ro-tenant", msg, sig));
+  EXPECT_FALSE(client.verify_sync("ro-tenant", msg, forge(sig)));
+  EXPECT_TRUE(scheme.verify(
+      km.pk, msg, client.combine_sync("ro-tenant", msg, first_partials(km, msg))));
+
+  const Scheme& dlin = server_->registry().at(SchemeId::kDlin);
+  Rng sample_rng("metrics-mirror");
+  SchemeSample good = dlin.make_sample(3, 1, msg, sample_rng);
+  SchemeSample wrong = dlin.make_sample(3, 1, to_bytes("other"), sample_rng);
+  EXPECT_FALSE(
+      client.register_committee("dlin-tenant", SchemeId::kDlin, good.committee)
+          .get());
+  EXPECT_TRUE(client.verify_bytes("dlin-tenant", msg, good.sig).get());
+  EXPECT_FALSE(client.verify_bytes("dlin-tenant", msg, wrong.sig).get());
+
+  // An in-service shed: every pool worker is held while a VERIFY with a
+  // 20 ms budget arrives, so its decode and fold start after the deadline.
+  // (The second connection stays open, so the connection gauges hold
+  // still below.)
+  RpcClient late("127.0.0.1", port());
+  {
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    for (size_t i = 0; i < pool_->size(); ++i)
+      pool_->submit([gate] { gate.wait(); });
+    RequestOptions tight;
+    tight.deadline = std::chrono::milliseconds(20);
+    tight.max_attempts = 1;
+    auto in_flight_becomes = [&](uint64_t n) {
+      for (int ms = 0; ms < 10000; ++ms) {
+        if (server_->snapshot_health().in_flight == n) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return false;
+    };
+    auto shed = late.verify("ro-tenant", msg, sig, tight);
+    const bool arrived = in_flight_becomes(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    release.set_value();
+    ASSERT_TRUE(arrived);
+    EXPECT_THROW(shed.get(), DeadlineExceeded);
+    ASSERT_TRUE(in_flight_becomes(0));
+  }
+
+  const obs::MetricsSnapshot scrape = client.metrics_sync(0);
+  for (const Scheme* sch : server_->registry().schemes()) {
+    const std::string lbl = "scheme=\"" + std::string(sch->name()) + "\"";
+    auto value = [&](const char* series) {
+      const obs::MetricPoint* p = scrape.find_point(series, lbl);
+      EXPECT_NE(p, nullptr) << series << "{" << lbl << "}";
+      return p ? p->value : 0;
+    };
+    EXPECT_EQ(value("bnr_scheme_verify_submitted_total"),
+              value("bnr_scheme_verify_accepted_total") +
+                  value("bnr_scheme_verify_rejected_total") +
+                  value("bnr_scheme_verify_sheds_total") +
+                  value("bnr_scheme_verify_errors_total") +
+                  value("bnr_scheme_verify_in_progress"))
+        << lbl;
+  }
+
+  // Quiescent, in-process (a wire STATS would add its own frame to
+  // frames_in): the snapshots agree point for point.
+  const obs::MetricsSnapshot m = server_->metrics_snapshot(false);
+  const DaemonStats st = server_->snapshot_stats();
+  const HealthStats h = server_->snapshot_health();
+  struct Expect {
+    const char* series;
+    obs::MetricKind kind;
+    uint64_t value;
+  };
+  auto check = [&](std::initializer_list<Expect> want,
+                   const std::string& labels) {
+    for (const Expect& e : want) {
+      const obs::MetricPoint* p = m.find_point(e.series, labels);
+      ASSERT_NE(p, nullptr) << e.series << "{" << labels << "}";
+      EXPECT_EQ(p->kind, e.kind) << e.series;
+      EXPECT_EQ(p->value, e.value) << e.series << "{" << labels << "}";
+    }
+  };
+  check({{"bnr_tenants", kGauge, st.tenants},
+         {"bnr_deduped_keys_total", kCounter, st.deduped_keys},
+         {"bnr_connections_total", kCounter, st.connections},
+         {"bnr_connections_rejected_total", kCounter, st.conns_rejected},
+         {"bnr_auth_failures_total", kCounter, st.auth_failures},
+         {"bnr_frames_in_total", kCounter, st.frames_in},
+         {"bnr_protocol_errors_total", kCounter, st.protocol_errors},
+         {"bnr_cache_hits_total", kCounter, st.cache_hits},
+         {"bnr_cache_misses_total", kCounter, st.cache_misses},
+         {"bnr_cache_evictions_total", kCounter, st.cache_evictions},
+         {"bnr_cache_resident_entries", kGauge, st.cache_resident_entries},
+         {"bnr_cache_resident_bytes", kGauge, st.cache_resident_bytes},
+         {"bnr_verify_submitted_total", kCounter, st.verify_submitted},
+         {"bnr_verify_batches_total", kCounter, st.verify_batches},
+         {"bnr_verify_fallbacks_total", kCounter, st.verify_fallbacks},
+         {"bnr_verify_accepted_total", kCounter, st.verify_accepted},
+         {"bnr_verify_rejected_total", kCounter, st.verify_rejected},
+         {"bnr_combines_total", kCounter, st.combines},
+         {"bnr_open_connections", kGauge, st.open_connections},
+         {"bnr_verify_sheds_total", kCounter, st.verify_sheds},
+         {"bnr_verify_errors_total", kCounter, st.verify_errors},
+         {"bnr_verify_in_progress", kGauge, st.verify_in_progress},
+         {"bnr_in_flight", kGauge, h.in_flight},
+         {"bnr_in_flight_cap", kGauge, h.inflight_cap},
+         {"bnr_queue_depth", kGauge, h.queue_depth},
+         {"bnr_busy_inflight_total", kCounter, h.busy_inflight},
+         {"bnr_busy_ratelimit_total", kCounter, h.busy_ratelimit},
+         {"bnr_shed_arrival_total", kCounter, h.shed_arrival},
+         {"bnr_shed_in_service_total", kCounter, h.shed_in_service}},
+        "");
+  for (const SchemeStatsRow& r : st.schemes) {
+    const Scheme& sch = server_->registry().at(SchemeId(r.scheme));
+    check({{"bnr_scheme_tenants", kGauge, r.tenants},
+           {"bnr_scheme_deduped_total", kCounter, r.deduped},
+           {"bnr_scheme_verify_submitted_total", kCounter, r.verify_submitted},
+           {"bnr_scheme_verify_batches_total", kCounter, r.verify_batches},
+           {"bnr_scheme_verify_fallbacks_total", kCounter, r.verify_fallbacks},
+           {"bnr_scheme_verify_accepted_total", kCounter, r.verify_accepted},
+           {"bnr_scheme_verify_rejected_total", kCounter, r.verify_rejected},
+           {"bnr_scheme_cache_lookups_total", kCounter, r.cache_lookups},
+           {"bnr_scheme_cache_misses_total", kCounter, r.cache_misses},
+           {"bnr_scheme_combines_total", kCounter, r.combines},
+           {"bnr_scheme_verify_sheds_total", kCounter, r.verify_sheds},
+           {"bnr_scheme_verify_errors_total", kCounter, r.verify_errors},
+           {"bnr_scheme_verify_in_progress", kGauge, r.verify_in_progress}},
+          "scheme=\"" + std::string(sch.name()) + "\"");
+  }
+  // Nothing else: 29 unlabeled points and 13 per scheme row.
+  EXPECT_EQ(m.points.size(), 29 + 13 * st.schemes.size());
+  EXPECT_EQ(st.scheme_row(SchemeId::kRo).verify_sheds, 1u);
+  EXPECT_EQ(h.shed_in_service, 1u);
+  EXPECT_EQ(st.scheme_row(SchemeId::kDlin).verify_submitted, 2u);
 }
 
 TEST_F(RpcDaemonTest, MetricsUndefinedFlagBitsAreProtocolError) {
