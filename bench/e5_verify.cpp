@@ -4,7 +4,7 @@
 //   1. seed reference   affine Miller loops, dense Fp12 line multiplies,
 //                       one shared final exponentiation
 //   2. prepared         projective line precomputation on the fly + sparse
-//                       mul_by_034 evaluation (what multi_pairing now does)
+//                       mul_by_34 evaluation (what multi_pairing now does)
 //   3. cached           G2Prepared lines precomputed once per key
 //                       (RoVerifier) — only line evaluations remain
 //   4. batched          N signatures folded into ONE 4-pairing product via

@@ -113,8 +113,6 @@ struct Fp6 {
   }
   Fp6 squared() const { return *this * *this; }
 
-  Fp6 mul_fp2(const Fp2& s) const { return {c0 * s, c1 * s, c2 * s}; }
-
   /// Sparse multiplication by b0 + b1*v (b2 = 0): 5 Fp2 muls instead of 6.
   Fp6 mul_by_01(const Fp2& b0, const Fp2& b1) const {
     Fp2 v0 = c0 * b0;
@@ -165,14 +163,15 @@ struct Fp12 {
     return {a, t + t};
   }
 
-  /// Sparse multiplication by d0 + d3*w + d4*w^3 — exactly the shape of a
-  /// Miller-loop line on the D-twist (positions 0, 3, 4 of the Fp2 basis
-  /// {1, v, v^2, w, vw, v^2w}). 13 Fp2 muls instead of the dense 18.
-  Fp12 mul_by_034(const Fp2& d0, const Fp2& d3, const Fp2& d4) const {
-    Fp6 t0 = c0.mul_fp2(d0);
+  /// Sparse multiplication by 1 + d3*w + d4*w^3 — the shape of a Miller-loop
+  /// line on the D-twist divided by its y_P coefficient (positions 0, 3, 4
+  /// of the Fp2 basis {1, v, v^2, w, vw, v^2w}, with a one at position 0).
+  /// 10 Fp2 muls instead of the dense 18.
+  Fp12 mul_by_34(const Fp2& d3, const Fp2& d4) const {
+    // (c0 + c1 w)(1 + B w) = (c0 + c1 B v) + (c1 + c0 B) w, B = d3 + d4 v.
+    Fp6 t0 = c0.mul_by_01(d3, d4);
     Fp6 t1 = c1.mul_by_01(d3, d4);
-    Fp6 o = (c0 + c1).mul_by_01(d0 + d3, d4);
-    return {t0 + t1.mul_by_v(), o - t0 - t1};
+    return {c0 + t1.mul_by_v(), c1 + t0};
   }
   Fp12 inverse() const {
     Fp6 denom = (c0.squared() - c1.squared().mul_by_v()).inverse();

@@ -132,6 +132,12 @@ struct G2Projective {
   Fp2 x, y, z;
 };
 
+// One step's line c0*y_P + c3*x_P*w + c4*w^3 as the projective formulas give
+// it, before G2Prepared divides it by c0.
+struct ProjectiveLine {
+  Fp2 c0, c3, c4;
+};
+
 const Fp& half() {
   static const Fp h = Fp::from_u64(2).inverse();
   return h;
@@ -140,7 +146,7 @@ const Fp& half() {
 // Doubling step T <- 2T with the tangent-line coefficients; formulas of
 // Costello-Lange-Naehrig for y^2 = x^3 + b' in homogeneous coordinates.
 // The line is the affine tangent scaled by a nonzero Fp2 factor.
-EllCoeffs step_double(G2Projective& t) {
+ProjectiveLine step_double(G2Projective& t) {
   static const Fp2 twist_b = G2Curve::coeff_b();
   Fp2 a = (t.x * t.y).mul_fp(half());
   Fp2 b = t.y.squared();
@@ -159,7 +165,7 @@ EllCoeffs step_double(G2Projective& t) {
 }
 
 // Addition step T <- T + Q (Q affine) with the chord-line coefficients.
-EllCoeffs step_add(G2Projective& t, const Fp2& qx, const Fp2& qy) {
+ProjectiveLine step_add(G2Projective& t, const Fp2& qx, const Fp2& qy) {
   Fp2 theta = t.y - qy * t.z;
   Fp2 lambda = t.x - qx * t.z;
   Fp2 c = theta.squared();
@@ -174,9 +180,22 @@ EllCoeffs step_add(G2Projective& t, const Fp2& qx, const Fp2& qy) {
   return {lambda, -theta, theta * qx - lambda * qy};
 }
 
-// Evaluates a stored line at P and folds it into f with the sparse multiply.
-inline Fp12 fold_line(const Fp12& f, const EllCoeffs& l, const G1Affine& p) {
-  return f.mul_by_034(l.c0.mul_fp(p.y), l.c3.mul_fp(p.x), l.c4);
+// Inverts every element of v with one field inversion (Montgomery's trick).
+// Throws, as Mont::inverse does, if any element is zero.
+template <class F>
+void batch_invert(std::vector<F>& v) {
+  std::vector<F> prefix(v.size());
+  F acc = F::one();
+  for (size_t i = 0; i < v.size(); ++i) {
+    prefix[i] = acc;
+    acc = acc * v[i];
+  }
+  F inv = acc.inverse();
+  for (size_t i = v.size(); i-- > 0;) {
+    const F vi = v[i];
+    v[i] = inv * prefix[i];
+    inv = inv * vi;
+  }
 }
 
 }  // namespace
@@ -188,59 +207,79 @@ G2Prepared::G2Prepared(const G2Affine& q) {
   const auto& fc = frobenius_constants();
   G2Projective t{q.x, q.y, Fp2::one()};
   Fp2 neg_qy = -q.y;
-  coeffs_.reserve(2 * naf.size());
+  std::vector<ProjectiveLine> lines;
+  lines.reserve(2 * naf.size());
   for (size_t i = naf.size() - 1; i-- > 0;) {
-    coeffs_.push_back(step_double(t));
+    lines.push_back(step_double(t));
     if (naf[i] == 1)
-      coeffs_.push_back(step_add(t, q.x, q.y));
+      lines.push_back(step_add(t, q.x, q.y));
     else if (naf[i] == -1)
-      coeffs_.push_back(step_add(t, q.x, neg_qy));
+      lines.push_back(step_add(t, q.x, neg_qy));
   }
   // Frobenius end-steps, as in the reference loop.
   Fp2 q1x = q.x.conjugate() * fc.twist_x;
   Fp2 q1y = q.y.conjugate() * fc.twist_y;
   Fp2 q2x = q.x.mul_fp(fc.twist2_x);
   Fp2 q2y = q.y.mul_fp(fc.twist2_y);
-  coeffs_.push_back(step_add(t, q1x, q1y));
-  coeffs_.push_back(step_add(t, q2x, -q2y));
-  // Prepared points are long-lived cached key material budgeted by
-  // line_bytes(); the worst-case reserve above would otherwise strand ~30%
-  // of every key-cache byte budget as vector slack.
-  coeffs_.shrink_to_fit();
+  lines.push_back(step_add(t, q1x, q1y));
+  lines.push_back(step_add(t, q2x, -q2y));
+
+  // Divide each line by its y_P coefficient c0, an Fp2 factor that the
+  // final exponentiation kills. c0 is zero only on a degenerate step (T of
+  // order 2, or T = +-Q), which no point of G2 reaches; batch_invert then
+  // throws rather than store a line that would fold in as 1.
+  std::vector<Fp2> inv_c0(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) inv_c0[i] = lines[i].c0;
+  batch_invert(inv_c0);
+  // Sized exactly: prepared points are long-lived cached key material
+  // budgeted by line_bytes().
+  coeffs_.reserve(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i)
+    coeffs_.push_back({lines[i].c3 * inv_c0[i], lines[i].c4 * inv_c0[i]});
 }
 
 Fp12 miller_loop(std::span<const PreparedTerm> terms) {
-  // Every non-identity G2Prepared stores coefficients in the same schedule
-  // (one per doubling, one per NAF add, two end-steps), so all terms consume
+  // Every non-identity G2Prepared stores lines in the same schedule (one per
+  // doubling, one per NAF add, two end-steps), so all live terms consume
   // the shared cursor `k` in lockstep while the Fp12 squaring chain is paid
-  // once for the whole product.
-  const auto& naf = ate_loop_naf();
-  Fp12 f = Fp12::one();
-  bool any = false;
-  for (const auto& term : terms)
-    any = any || (!term.p.infinity && term.q && !term.q->infinity());
-  if (!any) return f;
-
-  auto live = [](const PreparedTerm& t) {
-    return !t.p.infinity && t.q && !t.q->infinity();
+  // once for the whole product. A stored line is c0*y_P + c3*x_P*w +
+  // c4*w^3 divided by c0*y_P, so each term evaluates it at (x_P/y_P, 1/y_P):
+  // one Fp inversion for the whole product.
+  struct Live {
+    const EllCoeffs* lines;
+    Fp x_over_y;
   };
+  std::vector<Live> live;
+  std::vector<Fp> inv_y;
+  live.reserve(terms.size());
+  inv_y.reserve(terms.size());
+  for (const auto& term : terms) {
+    if (term.p.infinity || !term.q || term.q->infinity()) continue;
+    live.push_back({term.q->coeffs().data(), term.p.x});
+    inv_y.push_back(term.p.y);
+  }
+  Fp12 f = Fp12::one();
+  if (live.empty()) return f;
+  batch_invert(inv_y);  // throws on y_P = 0, which no point of G1 has
+  for (size_t j = 0; j < live.size(); ++j)
+    live[j].x_over_y = live[j].x_over_y * inv_y[j];
+
+  const auto& naf = ate_loop_naf();
   size_t k = 0;
+  auto fold_lines = [&] {
+    for (size_t j = 0; j < live.size(); ++j) {
+      const EllCoeffs& l = live[j].lines[k];
+      f = f.mul_by_34(l.a.mul_fp(live[j].x_over_y), l.b.mul_fp(inv_y[j]));
+    }
+    ++k;
+  };
   for (size_t i = naf.size() - 1; i-- > 0;) {
     f = f.squared();
-    for (const auto& term : terms)
-      if (live(term)) f = fold_line(f, term.q->coeffs()[k], term.p);
-    ++k;
-    if (naf[i] != 0) {
-      for (const auto& term : terms)
-        if (live(term)) f = fold_line(f, term.q->coeffs()[k], term.p);
-      ++k;
-    }
+    fold_lines();
+    if (naf[i] != 0) fold_lines();
   }
-  for (int s = 0; s < 2; ++s) {
-    for (const auto& term : terms)
-      if (live(term)) f = fold_line(f, term.q->coeffs()[k], term.p);
-    ++k;
-  }
+  fold_lines();  // the two Frobenius end-steps
+  fold_lines();
   return f;
 }
 
@@ -259,23 +298,32 @@ Fp12 easy_part(const Fp12& f) {
 }  // namespace
 
 namespace {
-// Exponentiation by the BN parameter u along its NAF (weight 24, against 28
-// set bits), valid after the easy part: cyclotomic squarings, and a multiply
-// by f for a +1 digit or by its conjugate, the inverse in the cyclotomic
-// subgroup, for a -1 digit. No table to build, unlike pow_cyclotomic's
-// 4-bit window.
-Fp12 pow_u(const Fp12& f) {
-  static const std::vector<int8_t> naf = compute_naf(kBnU);
-  const Fp12 f_inv = f.conjugate();
-  Fp12 r = f;  // the top NAF digit is +1
-  for (size_t i = naf.size() - 1; i-- > 0;) {
-    r = r.cyclotomic_squared();
-    if (naf[i] == 1)
-      r = r * f;
-    else if (naf[i] == -1)
-      r = r * f_inv;
-  }
-  return r;
+// Exponentiation by the BN parameter u, valid after the easy part (every
+// squaring is cyclotomic): gnark-crypto's BN254 addition chain, 62
+// squarings and 17 multiplies against the 23 of a walk over u's NAF. Each
+// xB below is x raised to the binary number B.
+Fp12 pow_u(const Fp12& x) {
+  auto sqr_n = [](Fp12 a, int n) {
+    while (n-- > 0) a = a.cyclotomic_squared();
+    return a;
+  };
+  const Fp12 x10 = x.cyclotomic_squared();
+  const Fp12 x100 = x10.cyclotomic_squared();
+  const Fp12 x1000 = x100.cyclotomic_squared();
+  const Fp12 x10001 = x1000.cyclotomic_squared() * x;
+  const Fp12 x10011 = x10001 * x10;
+  const Fp12 x10100 = x10011 * x;
+  const Fp12 x11001 = x10001 * x1000;
+  const Fp12 x100111 = x10011 * x10100;
+  const Fp12 x101001 = x100111 * x10;
+  Fp12 r = sqr_n(x10001.cyclotomic_squared(), 6) * x100 * x11001;
+  r = sqr_n(r, 7) * x11001;
+  r = sqr_n(r, 8) * x101001 * x10;
+  r = sqr_n(r, 6) * x10001;
+  r = sqr_n(r, 8) * x101001;
+  r = sqr_n(r, 6) * x101001;
+  r = sqr_n(sqr_n(r, 10) * x100111, 6);
+  return r * x101001 * x1000;  // u = 0x44e992b44a6909f1
 }
 }  // namespace
 

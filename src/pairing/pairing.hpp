@@ -7,12 +7,13 @@
 //    Fp2 inversion per doubling/addition step and a dense Fp12 multiply per
 //    line. Kept as the cross-check oracle and the E5 ablation baseline.
 //  * the PREPARED path: `G2Prepared` precomputes every line coefficient for
-//    a fixed G2 point with projective doubling/addition steps (no inversions
-//    at all); evaluating a pairing against a prepared point is then just a
-//    per-step scaling by (x_P, y_P) folded in with the sparse
-//    `Fp12::mul_by_034`. Projective lines differ from affine ones by Fp2
-//    factors, which the final exponentiation kills (Fp2* has order dividing
-//    p^6 - 1).
+//    a fixed G2 point with projective doubling/addition steps, then divides
+//    each line by its y_P coefficient (one batched Fp2 inversion per table).
+//    Evaluating a pairing against a prepared point is then a per-step
+//    scaling by (x_P/y_P, 1/y_P) (one batched Fp inversion per product)
+//    folded in with the sparse `Fp12::mul_by_34`. Projective and divided
+//    lines differ from affine ones by Fp2 factors, which the final
+//    exponentiation kills (Fp2* has order dividing p^6 - 1).
 //
 // `multi_pairing` routes through the prepared path (preparing on the fly)
 // and additionally shares the Fp12 squaring chain and the final
@@ -21,10 +22,11 @@
 //
 // Final exponentiation (p^12 - 1)/r is split into the easy part (conjugate /
 // inverse / Frobenius^2) and the hard part (p^4 - p^2 + 1)/r, computed by
-// the BN addition chain (three cyclotomic exponentiations by u + Frobenius
-// combines). The full hard-part exponent is still derived from (p, r, u) as
-// a BigUint at startup and drives the ladder/generic reference paths that
-// cross-check the chain.
+// the BN addition chain (three cyclotomic exponentiations by u, each a
+// 62-squaring, 17-multiply addition chain, + Frobenius combines). The full
+// hard-part exponent is still derived from (p, r, u) as a BigUint at
+// startup and drives the ladder/generic reference paths that cross-check
+// the chain.
 #pragma once
 
 #include <utility>
@@ -56,18 +58,21 @@ struct PairingTerm {
   G2Affine q;
 };
 
-/// One Miller-loop line l = c0*y_P + c3*x_P*w + c4*w^3, with the
-/// P-independent coefficients stored and the P-scaling deferred to
-/// evaluation time.
+/// One Miller-loop line c0*y_P + c3*x_P*w + c4*w^3 divided by c0*y_P, so
+/// that it reads 1 + a*(x_P/y_P)*w + b*(1/y_P)*w^3: a = c3/c0 and b = c4/c0
+/// are the P-independent coefficients stored, and the P-scaling is deferred
+/// to evaluation time.
 struct EllCoeffs {
-  Fp2 c0, c3, c4;
+  Fp2 a, b;
 };
 
 /// All Miller-loop line coefficients of a fixed G2 point, precomputed once
-/// with projective steps (no Fp2 inversions). Pairing against a G2Prepared
-/// skips every per-step G2 operation; only the line *evaluations* at P
-/// remain. This is the cacheable half of the verifier: g^_z, g^_r, public
-/// keys and verification keys are all fixed key material.
+/// with projective steps and one batched Fp2 inversion (88 lines of 2 Fp2 on
+/// BN254, 11,264 B). Pairing against a G2Prepared skips every per-step G2
+/// operation; only the line *evaluations* at P remain. This is the
+/// cacheable half of the verifier: g^_z, g^_r, public keys and verification
+/// keys are all fixed key material. Construction throws if a line
+/// degenerates (c0 = 0), which no point of G2 causes.
 class G2Prepared {
  public:
   G2Prepared() = default;  // identity: contributes 1 to any product
@@ -102,7 +107,9 @@ Fp12 miller_loop(const G1Affine& p, const G2Affine& q);
 Fp12 miller_loop(const G1Affine& p, const G2Prepared& q);
 
 /// Multi-Miller loop over prepared terms, sharing one Fp12 squaring chain
-/// across all terms per NAF step.
+/// across all terms per NAF step. Terms with an identity side contribute 1;
+/// the others' y_P are inverted together, so a y_P of 0 (no point of G1
+/// has one) throws.
 Fp12 miller_loop(std::span<const PreparedTerm> terms);
 
 /// Final exponentiation f -> f^{(p^12-1)/r}. The hard part runs the BN

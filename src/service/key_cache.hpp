@@ -2,7 +2,7 @@
 // prepared per-key state: the erased verifiers and committee combiners,
 // each holding the G2Prepared Miller-loop lines of one key (a combiner
 // prepares its committee key only; the players' keys stay affine).
-// Millions of tenant keys do not fit at ~35KB per prepared RO verifier or
+// Millions of tenant keys do not fit at ~23KB per prepared RO verifier or
 // combiner (its key's two line tables; the generator tables are shared
 // through SystemParams), so the serving layer keeps a bounded working set
 // and re-prepares on miss:
@@ -24,14 +24,14 @@
 //    transiently exceed its budget when everything resident is pinned
 //    (recorded in `pinned_skips`).
 //  * The prepare callback runs OUTSIDE the shard lock — preparing two
-//    Miller-loop line tables takes ~0.5ms, and holding the shard lock for
+//    Miller-loop line tables takes ~0.2ms, and holding the shard lock for
 //    that long would serialize every other tenant hashing to the shard. Two
 //    threads may therefore race to prepare the same key; the loser's work is
 //    dropped (counted in `redundant_prepares`), which wastes one prepare but
 //    never blocks a hit.
 //  * `add_alias` maps a tenant key-id onto a CANONICAL key (e.g. a digest of
 //    the public key). Tenants sharing a public key thereby share ONE
-//    prepared entry instead of preparing ~35KB each — the dedup is counted
+//    prepared entry instead of preparing ~23KB each — the dedup is counted
 //    in `deduped`. Canonical keys must not themselves be aliases (one level
 //    of indirection; the registrar owns that invariant).
 //

@@ -195,7 +195,7 @@ TEST(KeyCache, NullPrepareThrowsAndChargesNothing) {
 
 TEST(KeyCache, RealVerifierFootprintDrivesResidency) {
   // Wire the cache to the real prepared-verifier type: the footprint of one
-  // RoVerifier (its two owned Miller-loop line tables, ~34KB on BN254; the
+  // RoVerifier (its two owned Miller-loop line tables, ~23KB on BN254; the
   // g^_z/g^_r tables belong to the params) is what the byte budget is
   // provisioned against.
   using namespace bnr::threshold;

@@ -1010,11 +1010,45 @@ TEST(Wire, MetricsSnapshotRoundTrip) {
   t.stage_ns[size_t(obs::Stage::kFlushed)] = 123456 + 1;
   t.total_ns = 123456;
   m.slow_traces.push_back(t);
+  m.slow_trace_cap = 5;  // not on the wire
+
+  // The body as docs/wire-protocol.md lays it out, ending after the traces:
+  // u32 npoints + points, u32 nhists + histograms with their non-zero
+  // buckets, u32 ntraces + traces.
+  ByteWriter want;
+  want.u32(2);
+  want.str("bnr_x_total");
+  want.str("");
+  want.u8(0);
+  want.u64(42);
+  want.str("bnr_y");
+  want.str("scheme=\"ro\"");
+  want.u8(1);
+  want.u64(7);
+  want.u32(1);
+  want.str("bnr_lat_seconds");
+  want.str("");
+  for (uint64_t v : {2, 1'000'500, 1'000'000}) want.u64(v);
+  want.u32(2);
+  want.u32(obs::bucket_index(500));
+  want.u64(1);
+  want.u32(obs::bucket_index(1'000'000));
+  want.u64(1);
+  want.u32(1);
+  want.u64(99);
+  want.u8(uint8_t(Method::kVerify));
+  want.u64(123456);
+  want.u8(8);
+  for (uint64_t v : {1, 0, 0, 0, 0, 0, 0, 123456 + 1}) want.u64(v);
+  const Bytes golden_body = want.take();
 
   Bytes enc = encode_metrics_snapshot(m);
+  EXPECT_EQ(enc, golden_body);
   ByteReader rd(enc);
   obs::MetricsSnapshot d = decode_metrics_snapshot(rd);
   EXPECT_EQ(rd.remaining(), 0u);
+  EXPECT_EQ(d.slow_trace_cap, obs::MetricsSnapshot{}.slow_trace_cap);
+  EXPECT_EQ(encode_metrics_snapshot(d), golden_body);
   ASSERT_EQ(d.points.size(), 2u);
   EXPECT_EQ(d.points[1].labels, "scheme=\"ro\"");
   EXPECT_EQ(d.points[0].value, 42u);

@@ -435,18 +435,34 @@ TEST(ParallelDifferentialSweep, MsmAgreesWithNaiveOracle) {
 }
 
 TEST(ParallelDifferentialSweep, MultiPairingAgreesWithAffineOracle) {
-  // 20 trials: random term counts; the prepared shared-squaring loop and the
+  // 21 trials: random term counts; the prepared shared-squaring loop and the
   // pool-parallel chunked loop must match the affine-line reference Miller
-  // loop (multi_pairing_reference), including cancelling products.
+  // loop (multi_pairing_reference), including cancelling products. Odd
+  // trials mix in identity terms (an identity P, or a default G2Prepared),
+  // which the prepared loop skips: trials 1, 5, 9, ... put 1-4 of them
+  // between the live terms, and trials 3, 7, 11, ... put 4 before 4 live
+  // terms, so the pool's first chunk of the 8 holds only identity terms.
+  // The last trial's 8 terms are all identity.
   BNR_LOG_SEED();
   Rng r = trial_rng("multi-pairing");
   service::ThreadPool pool(4);
-  for (int trial = 0; trial < 20; ++trial) {
+  auto identity_term = [&r] {
+    if (r.uniform(2) == 0)
+      return PairingTerm{G1Affine::identity(),
+                         G2::generator().mul(Fr::random(r)).to_affine()};
+    return PairingTerm{G1::generator().mul(Fr::random(r)).to_affine(),
+                       G2Affine::identity()};
+  };
+  for (int trial = 0; trial < 21; ++trial) {
     SCOPED_TRACE(trial);
-    size_t n = 1 + r.uniform(6);
-    bool cancelling = r.uniform(2) == 0;
+    const bool all_identity = trial == 20;
+    const bool front_run = trial % 4 == 3;
+    const bool cancelling = !all_identity && r.uniform(2) == 0;
+    const size_t n = front_run ? (cancelling ? 2 : 4) : 1 + r.uniform(6);
     std::vector<PairingTerm> plain;
-    if (cancelling) {
+    if (all_identity) {
+      for (size_t i = 0; i < 8; ++i) plain.push_back(identity_term());
+    } else if (cancelling) {
       // Pairs e(aP, Q) e(-aP, Q): the product is exactly 1.
       for (size_t i = 0; i < n; ++i) {
         Fr a = Fr::random(r);
@@ -459,17 +475,30 @@ TEST(ParallelDifferentialSweep, MultiPairingAgreesWithAffineOracle) {
         plain.push_back({G1::generator().mul(Fr::random(r)).to_affine(),
                          G2::generator().mul(Fr::random(r)).to_affine()});
     }
+    if (front_run) {
+      for (size_t i = 0; i < 4; ++i)
+        plain.insert(plain.begin(), identity_term());
+    } else if (trial % 2 == 1) {
+      for (size_t k = 1 + r.uniform(4); k-- > 0;) {
+        const size_t at = r.uniform(plain.size() + 1);
+        plain.insert(plain.begin() + static_cast<std::ptrdiff_t>(at),
+                     identity_term());
+      }
+    }
     std::vector<G2Prepared> prepared;
     prepared.reserve(plain.size());
     std::vector<PreparedTerm> terms;
     for (const auto& t : plain) {
-      prepared.emplace_back(t.q);
+      if (t.q.infinity)
+        prepared.emplace_back();
+      else
+        prepared.emplace_back(t.q);
       terms.push_back({t.p, &prepared.back()});
     }
     GT oracle = multi_pairing_reference(plain);
     EXPECT_EQ(multi_pairing(terms), oracle);
     EXPECT_EQ(service::multi_pairing_parallel(pool, terms), oracle);
-    EXPECT_EQ(oracle.is_identity(), cancelling);
+    EXPECT_EQ(oracle.is_identity(), cancelling || all_identity);
   }
 }
 
