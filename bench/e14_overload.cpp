@@ -290,16 +290,17 @@ int main() {
   }
 
   auto health = shed.snapshot_health();
-  auto vs = shed.verify_stats();
+  auto st = shed.snapshot_stats();
   printf("shed daemon: busy_inflight %llu, shed_arrival %llu, "
          "shed_in_service %llu; service %llu submitted = %llu accepted + "
          "%llu rejected + %llu shed\n",
          (unsigned long long)health.busy_inflight,
          (unsigned long long)health.shed_arrival,
          (unsigned long long)health.shed_in_service,
-         (unsigned long long)vs.submitted, (unsigned long long)vs.accepted,
-         (unsigned long long)vs.rejected,
-         (unsigned long long)vs.deadline_sheds);
+         (unsigned long long)st.verify_submitted,
+         (unsigned long long)st.verify_accepted,
+         (unsigned long long)st.verify_rejected,
+         (unsigned long long)st.verify_sheds);
   printf("4x retention with shedding: %.0f%% (gate: >= 70%%)\n",
          retention_4x);
 

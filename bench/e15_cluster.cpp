@@ -289,8 +289,9 @@ int main() {
     // Surviving nodes keep their accounting identity through the kill.
     for (size_t i = 0; i < servers.size(); ++i) {
       if (i == victim) continue;
-      auto vs = servers[i]->verify_stats();
-      if (vs.submitted != vs.accepted + vs.rejected + vs.deadline_sheds) {
+      auto st = servers[i]->snapshot_stats();
+      if (st.verify_submitted !=
+          st.verify_accepted + st.verify_rejected + st.verify_sheds) {
         fprintf(stderr, "FATAL: node %zu accounting identity broken\n", i);
         return 1;
       }

@@ -11,9 +11,7 @@
 //                           [--max-connections=N]
 //   ./threshold_cli client  <host> <port> [tenants] [requests] [label]
 //                           [--admin-token=T]
-//   ./threshold_cli rpc-smoke
 //   ./threshold_cli cluster [nodes] [tenants] [requests]
-//   ./threshold_cli cluster-smoke
 //   ./threshold_cli metrics <host:port> [--raw]
 //   ./threshold_cli cluster-metrics <host:port>... [--raw]
 //
@@ -27,36 +25,30 @@
 //
 // `cluster` spins up N local daemons behind one ClusterClient (consistent-
 // hash tenant routing, replicated registrations, failover) and kills a node
-// mid-run to show traffic re-routing; `cluster-smoke` is the CI assertion
-// version: replicated registration must verify on EVERY node, killing the
-// ring owner must fail over cleanly, and every surviving node must drain
-// with its accounting identity intact.
+// mid-run to show traffic re-routing; it exits 1 if any verify fails.
 //
 // The daemon's ADMIN surface (REGISTER_TENANT) can be gated with a shared
 // secret: pass --admin-token=... (or set BNR_ADMIN_TOKEN) on both sides.
 // One daemon serves EVERY scheme in the registry (RO, DLIN, Agg, BLS)
-// through the same cache and wire path; rpc-smoke drives all of them.
+// through the same cache and wire path.
 //
 // `daemon` is the serving entry point: a long-running RPC daemon speaking
 // the length-prefixed binary wire protocol (src/rpc/wire.hpp) in front of
 // the multi-tenant verification/combine services and the sharded key cache.
 // `client` drives Zipf-distributed multi-tenant traffic (with a sprinkling
 // of forgeries) against a running daemon over TCP — the shape of a
-// production gateway's traffic, now crossing a real socket. `rpc-smoke` is
-// the CI entry: it starts a daemon on an ephemeral loopback port, runs a
-// register/verify/combine round trip for EVERY scheme in the registry (RO,
-// DLIN, Agg, BLS) plus the RO extras (batch verify, cheater attribution,
-// pk dedup) and the admin-token gate, and asserts a clean drain-down.
+// production gateway's traffic, now crossing a real socket. The daemon's
+// wire behaviour is tested by ctest: test_rpc (every scheme's round trips,
+// BATCH_VERIFY, the admin gate, METRICS, drain on shutdown), test_faults
+// (deadlines, BUSY and retries) and test_cluster (replication, failover).
 //
 // Run without arguments for a self-contained demo in a temp directory.
-#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -66,10 +58,7 @@
 #include "rpc/rpc_server.hpp"
 #include "service/key_cache.hpp"
 #include "service/thread_pool.hpp"
-#include "service/verification_service.hpp"
-#include "threshold/dlin_scheme.hpp"
 #include "threshold/ro_scheme.hpp"
-#include "threshold/scheme_registry.hpp"
 
 using namespace bnr;
 using namespace bnr::threshold;
@@ -311,251 +300,6 @@ int cmd_client(const std::string& host, uint16_t port, size_t tenants,
   return (correct == requests && combines_ok == committees) ? 0 : 1;
 }
 
-/// Prometheus text exposition sanity: every non-comment line must be
-/// `series[{labels}] value` with a parseable value, and within each
-/// histogram the cumulative `_bucket` series must be non-decreasing in
-/// declaration order (the renderer emits them in ascending `le`).
-bool prometheus_text_well_formed(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  size_t series = 0;
-  std::string bucket_prefix;  // current histogram's series+label prefix
-  double last_bucket = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) return false;  // renderer never emits blank lines
-    if (line[0] == '#') continue;
-    size_t sp = line.rfind(' ');
-    if (sp == std::string::npos || sp == 0 || sp + 1 >= line.size())
-      return false;
-    std::string name = line.substr(0, sp);
-    if (!(std::isalpha(static_cast<unsigned char>(name[0])) || name[0] == '_'))
-      return false;
-    double value = 0;
-    try {
-      value = std::stod(line.substr(sp + 1));
-    } catch (...) {
-      return false;
-    }
-    size_t le = name.find("le=\"");
-    if (name.find("_bucket{") != std::string::npos && le != std::string::npos) {
-      std::string prefix = name.substr(0, le);
-      if (prefix != bucket_prefix) {
-        bucket_prefix = prefix;
-        last_bucket = 0;
-      }
-      if (value + 1e-9 < last_bucket) return false;  // cumulative must grow
-      last_bucket = value;
-    }
-    ++series;
-  }
-  return series > 0;
-}
-
-// CI smoke: ephemeral daemon, one client round trip per REGISTERED SCHEME
-// (register committee, verify accept/reject, combine over the wire), plus
-// the RO-specific extras (batch verify, cheater attribution, pk-digest
-// dedup) and the admin-token gate. Asserts by exit code so the workflow
-// step is a one-liner. Adding a scheme plugin extends this smoke
-// automatically.
-int cmd_rpc_smoke() {
-  using namespace bnr::service;
-  const std::string label = "rpc-smoke/v1";
-  const std::string token = "rpc-smoke-admin-token";
-  ThreadPool workers;
-  rpc::ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = label;
-  cfg.cache_bytes = size_t(64) << 20;
-  cfg.admin_token = token;
-  rpc::RpcServer server(cfg, workers);
-  std::thread serving([&] { server.run(); });
-  printf("smoke daemon on port %u\n", server.port());
-
-  bool ok = true;
-  auto check = [&](bool cond, const std::string& what) {
-    ok = ok && cond;
-    printf("  %-46s %s\n", what.c_str(), cond ? "ok" : "FAIL");
-  };
-  try {
-    Rng rng("rpc-smoke");
-    rpc::RpcClient client("127.0.0.1", server.port());
-    client.ping().get();
-    check(true, "ping");
-
-    // ADMIN gate: no token -> attributable error; with the token it works.
-    RoScheme ro(SystemParams::derive(label));
-    auto km = ro.dist_keygen(4, 1, rng);
-    bool denied = false;
-    try {
-      client.register_ro_committee("ro-tenant", km).get();
-    } catch (const rpc::RpcError&) {
-      denied = true;
-    }
-    check(denied, "REGISTER without admin token denied");
-    client.set_admin_token(token);
-
-    // Every scheme in the registry over the same wire path.
-    const SchemeRegistry& registry = server.registry();
-    Bytes generic_msg = to_bytes("smoke: all schemes");
-    Bytes other_msg = to_bytes("smoke: other message");
-    Rng sample_rng("rpc-smoke-samples");
-    for (const Scheme* scheme : registry.schemes()) {
-      std::string name(scheme->name());
-      SchemeSample good = scheme->make_sample(3, 1, generic_msg, sample_rng);
-      SchemeSample wrong = scheme->make_sample(3, 1, other_msg, sample_rng);
-      std::string tenant = name + "-generic";
-      client.register_committee(tenant, scheme->id(), good.committee).get();
-      bool accept = client.verify_bytes(tenant, generic_msg, good.sig).get();
-      bool reject = !client.verify_bytes(tenant, generic_msg, wrong.sig).get();
-      rpc::CombineResult r =
-          client.combine_bytes(tenant, generic_msg, good.partials).get();
-      auto verifier = scheme->make_verifier(good.committee.pk);
-      bool combined =
-          verifier->verify(generic_msg, scheme->parse_signature(r.sig));
-      check(accept && reject && combined,
-            name + ": verify accept/reject + combine over the wire");
-      auto row = client.stats_sync().scheme_row(scheme->id());
-      check(row.tenants == 1 && row.verify_submitted == 2 &&
-                row.combines == 1,
-            name + ": per-scheme stats row");
-    }
-
-    // RO-specific extras on the same daemon.
-    check(!client.register_ro_committee("ro-tenant", km).get(),
-          "register RO committee (fresh)");
-    check(client.register_ro_key("ro-alias", km.pk).get(),
-          "register same pk again -> deduped");
-    Bytes msg = to_bytes("smoke message");
-    std::vector<PartialSignature> parts;
-    for (uint32_t i = 1; i <= 2; ++i)
-      parts.push_back(ro.share_sign(km.shares[i - 1], msg));
-    Signature sig = ro.combine_unchecked(1, parts);
-    check(client.verify_sync("ro-tenant", msg, sig), "RO verify accept");
-    Signature forged = sig;
-    forged.z = (G1::from_affine(forged.z) + G1::generator()).to_affine();
-    check(!client.verify_sync("ro-tenant", msg, forged), "RO verify reject");
-    std::vector<std::pair<Bytes, Signature>> items = {{msg, sig},
-                                                      {msg, forged}};
-    auto batch = client.batch_verify("ro-tenant", items).get();
-    check(batch.size() == 2 && batch[0] && !batch[1], "RO batch-verify");
-    // Combine over the wire, with one tampered partial attributed.
-    std::vector<PartialSignature> with_cheat = parts;
-    with_cheat.push_back(ro.share_sign(km.shares[2], msg));
-    with_cheat[0].z =
-        (G1::from_affine(with_cheat[0].z) + G1::generator()).to_affine();
-    std::vector<uint32_t> cheaters;
-    Signature combined =
-        client.combine_sync("ro-tenant", msg, with_cheat, &cheaters);
-    check(ro.verify(km.pk, msg, combined) && cheaters.size() == 1 &&
-              cheaters[0] == with_cheat[0].index,
-          "RO combine + cheater attribution");
-
-    // Deadline round trip: a 1 ms budget cannot survive the daemon's 5 ms
-    // batching window, so the request is shed (server-side) or expired
-    // (client-side) — either way the caller gets an attributable
-    // DeadlineExceeded, and the SAME session keeps serving afterwards.
-    bool deadline_hit = false;
-    try {
-      rpc::RequestOptions tight;
-      tight.deadline = std::chrono::milliseconds(1);
-      client.verify("ro-tenant", msg, sig, tight).get();
-    } catch (const rpc::DeadlineExceeded&) {
-      deadline_hit = true;
-    }
-    check(deadline_hit, "1 ms deadline -> DEADLINE_EXCEEDED");
-    check(client.verify_sync("ro-tenant", msg, sig),
-          "session healthy after the deadline miss");
-    auto health = client.health_sync();
-    check(health.inflight_cap == cfg.max_in_flight && health.in_flight == 0,
-          "HEALTH reports cap and drained in-flight");
-
-    auto st = client.stats_sync();
-    // 4 generic scheme tenants + ro-tenant + ro-alias; ro-alias deduped
-    // onto ro-tenant's pk digest.
-    check(st.tenants == registry.schemes().size() + 2 &&
-              st.deduped_keys == 1 && st.protocol_errors == 0 &&
-              st.auth_failures == 1,
-          "stats: tenants, dedup, auth failures, no protocol errors");
-
-    // METRICS plane, both encodings, against live traffic. The text scrape
-    // must be Prometheus-parseable; the structured snapshot's verify
-    // histogram must account for exactly the verdicts STATS reports (the
-    // PR 9 coherence invariant, checked end to end over the wire).
-    {
-      std::string text = client.metrics_text_sync();
-      check(prometheus_text_well_formed(text), "METRICS text well-formed");
-      check(text.find("# TYPE bnr_verify_latency_seconds histogram") !=
-                    std::string::npos &&
-                text.find("bnr_verify_latency_seconds_bucket") !=
-                    std::string::npos,
-            "METRICS text exposes verify latency histogram");
-      auto m = client.metrics_sync();
-      uint64_t hist_verdicts = 0;
-      for (const auto& h : m.histograms)
-        if (h.name == "bnr_verify_latency_seconds")
-          hist_verdicts += h.snap.count;
-      auto st2 = client.stats_sync();
-      check(hist_verdicts == st2.verify_accepted + st2.verify_rejected,
-            "verify histogram count == accepted + rejected");
-      bool traces_ok = !m.slow_traces.empty();
-      for (const auto& t : m.slow_traces)
-        traces_ok = traces_ok && t.has(bnr::obs::Stage::kReceived) &&
-                    t.has(bnr::obs::Stage::kFlushed);
-      check(traces_ok, "slow-trace ring holds completed requests");
-    }
-
-    // Rate-limited round trip against a second, throttled daemon: a burst
-    // over the token bucket draws BUSY, the client's backoff retries drain
-    // it, and the daemon's HEALTH counters attribute every rejection.
-    {
-      ThreadPool throttled_workers;
-      rpc::ServerConfig tcfg;
-      tcfg.port = 0;
-      tcfg.params_label = label;
-      tcfg.cache_bytes = size_t(8) << 20;
-      tcfg.conn_rate_limit = 50;
-      tcfg.conn_rate_burst = 2;
-      rpc::RpcServer throttled(tcfg, throttled_workers);
-      std::thread tserving([&] { throttled.run(); });
-      {
-        rpc::ClientConfig ccfg;
-        ccfg.retry.max_attempts = 12;
-        ccfg.retry.initial_backoff = std::chrono::milliseconds(20);
-        ccfg.retry.max_backoff = std::chrono::milliseconds(100);
-        rpc::RpcClient burst("127.0.0.1", throttled.port(), ccfg);
-        burst.register_ro_committee("ro-tenant", km).get();
-        std::vector<std::future<bool>> futs;
-        for (int j = 0; j < 6; ++j)
-          futs.push_back(burst.verify("ro-tenant", msg, sig));
-        bool all_ok = true;
-        for (auto& f : futs) all_ok = all_ok && f.get();
-        auto thealth = burst.health_sync();
-        check(all_ok && burst.client_stats().busy >= 1 &&
-                  thealth.busy_ratelimit >= 1,
-              "rate-limited burst -> BUSY, retries drain it");
-      }
-      throttled.stop();
-      tserving.join();
-    }
-  } catch (const std::exception& e) {
-    fprintf(stderr, "smoke exception: %s\n", e.what());
-    ok = false;
-  }
-
-  server.stop();
-  serving.join();
-  auto vs = server.verify_stats();
-  // Every submitted request is accounted for: verified, rejected, or shed
-  // against its deadline — nothing vanishes on shutdown.
-  bool drained =
-      vs.submitted == vs.accepted + vs.rejected + vs.deadline_sheds;
-  printf("  %-46s %s\n", "graceful shutdown drained all batches",
-         drained ? "ok" : "FAIL");
-  ok = ok && drained;
-  printf("rpc-smoke: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 // ---------------------------------------------------------------------------
 // Cluster front end: N in-process daemons behind one ClusterClient.
 
@@ -566,14 +310,12 @@ struct LocalCluster {
   std::vector<std::unique_ptr<rpc::RpcServer>> servers;
   std::vector<std::thread> serving;
 
-  LocalCluster(size_t n, const std::string& label,
-               const std::string& token) {
+  LocalCluster(size_t n, const std::string& label) {
     for (size_t i = 0; i < n; ++i) {
       rpc::ServerConfig cfg;
       cfg.port = 0;
       cfg.params_label = label;
       cfg.cache_bytes = size_t(64) << 20;
-      cfg.admin_token = token;
       cfg.batch.max_delay = std::chrono::milliseconds(1);
       servers.push_back(std::make_unique<rpc::RpcServer>(cfg, pool));
       serving.emplace_back([s = servers.back().get()] { s->run(); });
@@ -587,12 +329,10 @@ struct LocalCluster {
     servers[i]->stop();
     serving[i].join();
   }
-  rpc::ClusterConfig config(const std::string& label,
-                            const std::string& token) const {
+  rpc::ClusterConfig config(const std::string& label) const {
     rpc::ClusterConfig cfg;
     for (const auto& s : servers) cfg.nodes.push_back({"127.0.0.1", s->port()});
     cfg.params_label = label;
-    cfg.admin_token = token;
     cfg.down_backoff = std::chrono::milliseconds(200);
     cfg.client.retry.max_attempts = 2;
     cfg.client.retry.initial_backoff = std::chrono::milliseconds(5);
@@ -640,8 +380,8 @@ int cmd_cluster(size_t nodes, size_t tenants, size_t requests) {
     return 2;
   }
   printf("starting %zu local daemons...\n", nodes);
-  LocalCluster lc(nodes, label, /*token=*/"");
-  rpc::ClusterClient cluster(lc.config(label, ""));
+  LocalCluster lc(nodes, label);
+  rpc::ClusterClient cluster(lc.config(label));
 
   RoScheme ro(SystemParams::derive(label));
   Rng rng("cli-cluster");
@@ -697,95 +437,6 @@ int cmd_cluster(size_t nodes, size_t tenants, size_t requests) {
   printf("verified %zu/%zu (%zu failed)\n", ok, requests, failed);
   print_rollup(cluster);
   return failed == 0 ? 0 : 1;
-}
-
-/// The CI entry for the cluster layer: 3 daemons, a registration through
-/// the replicated admin plane must verify on EVERY node, then kill one and
-/// assert clean failover plus each survivor's accounting identity.
-int cmd_cluster_smoke() {
-  const std::string label = "cluster-smoke/v1";
-  const std::string token = "cluster-smoke-admin-token";
-  LocalCluster lc(3, label, token);
-  printf("cluster-smoke: daemons on ports %u %u %u\n", lc.servers[0]->port(),
-         lc.servers[1]->port(), lc.servers[2]->port());
-
-  bool ok = true;
-  auto check = [&](bool cond, const std::string& what) {
-    ok = ok && cond;
-    printf("  %-54s %s\n", what.c_str(), cond ? "ok" : "FAIL");
-  };
-  size_t victim = 0;
-  rpc::ClusterClient cluster(lc.config(label, token));
-  try {
-    RoScheme ro(SystemParams::derive(label));
-    Rng rng("cluster-smoke");
-    auto km = ro.dist_keygen(4, 1, rng);
-    Committee c;
-    c.pk = km.pk.serialize();
-    c.n = uint32_t(km.n);
-    c.t = uint32_t(km.t);
-    for (const auto& vk : km.vks) c.vks.push_back(vk.serialize());
-
-    auto out = cluster.register_committee("acme", SchemeId::kRo, c);
-    check(out.all() && out.acks == 3,
-          "REGISTER replicated to all 3 nodes through the admin plane");
-
-    Bytes msg = to_bytes("cluster smoke message");
-    std::vector<PartialSignature> parts;
-    for (uint32_t i = 1; i <= 2; ++i)
-      parts.push_back(ro.share_sign(km.shares[i - 1], msg));
-    Bytes sig = ro.combine_unchecked(1, parts).serialize();
-    Signature forged = ro.combine_unchecked(1, parts);
-    forged.z = (G1::from_affine(forged.z) + G1::generator()).to_affine();
-
-    bool every_node = true;
-    for (size_t i = 0; i < cluster.node_count(); ++i) {
-      every_node = every_node &&
-                   cluster.node_client(i).verify_bytes("acme", msg, sig).get();
-      every_node = every_node && !cluster.node_client(i)
-                                      .verify_bytes("acme", msg,
-                                                    forged.serialize())
-                                      .get();
-    }
-    check(every_node, "tenant verifies (and rejects forgeries) on EVERY node");
-
-    // Routed steady state, then kill the tenant's ring owner mid-traffic.
-    victim = cluster.route("acme");
-    for (int i = 0; i < 8; ++i)
-      if (!cluster.verify("acme", msg, sig)) ok = false;
-    check(cluster.cluster_stats().failovers == 0,
-          "steady state served by the ring owner");
-    lc.kill(victim);
-    bool after = true;
-    for (int i = 0; i < 16; ++i) after = after && cluster.verify("acme", msg, sig);
-    auto cs = cluster.cluster_stats();
-    check(after && cs.failovers > 0 && cs.failed == 0,
-          "kill ring owner -> clean failover, no failed calls");
-
-    auto roll = cluster.stats_rollup();
-    check(roll.nodes_up == 2 && !roll.nodes[victim].up,
-          "rollup shows 2 up / 1 down");
-  } catch (const std::exception& e) {
-    fprintf(stderr, "cluster-smoke exception: %s\n", e.what());
-    ok = false;
-  }
-
-  // Survivors drain clean: every submitted request accounted for.
-  for (size_t i = 0; i < lc.servers.size(); ++i) {
-    lc.kill(i);
-    if (i == victim) continue;
-    auto vs = lc.servers[i]->verify_stats();
-    bool drained =
-        vs.submitted == vs.accepted + vs.rejected + vs.deadline_sheds;
-    printf("  node %zu drain: %llu submitted = %llu accepted + %llu "
-           "rejected + %llu shed %s\n",
-           i, (unsigned long long)vs.submitted,
-           (unsigned long long)vs.accepted, (unsigned long long)vs.rejected,
-           (unsigned long long)vs.deadline_sheds, drained ? "ok" : "FAIL");
-    ok = ok && drained;
-  }
-  printf("cluster-smoke: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -985,12 +636,10 @@ int main(int argc, char** argv) {
                         argc > 4 ? std::stoul(argv[4]) : 2000,
                         argc > 5 ? std::stoul(argv[5]) : 4000,
                         argc > 6 ? argv[6] : "bnr-rpc/v1", admin_token);
-    if (cmd == "rpc-smoke" && argc == 2) return cmd_rpc_smoke();
     if (cmd == "cluster" && argc <= 5)
       return cmd_cluster(argc > 2 ? std::stoul(argv[2]) : 3,
                          argc > 3 ? std::stoul(argv[3]) : 64,
                          argc > 4 ? std::stoul(argv[4]) : 512);
-    if (cmd == "cluster-smoke" && argc == 2) return cmd_cluster_smoke();
     if (cmd == "metrics" && argc == 3) return cmd_metrics(argv[2], raw);
     if (cmd == "cluster-metrics" && argc >= 3)
       return cmd_cluster_metrics(
@@ -1004,14 +653,12 @@ int main(int argc, char** argv) {
             " [--max-connections=N] [--io-threads=N]\n"
             "       %s client <host> <port> [tenants] [requests] [label]"
             " [--admin-token=T]\n"
-            "       %s rpc-smoke\n"
             "       %s cluster [nodes] [tenants] [requests]\n"
-            "       %s cluster-smoke\n"
             "       %s metrics <host:port> [--raw]\n"
             "       %s cluster-metrics <host:port>... [--raw] [--admin-token=T]\n"
             "(--admin-token falls back to the BNR_ADMIN_TOKEN env var)\n",
             argv[0], argv[0], argv[0], argv[0], argv[0], argv[0], argv[0],
-            argv[0], argv[0], argv[0], argv[0]);
+            argv[0], argv[0]);
     return 2;
   } catch (const std::exception& e) {
     fprintf(stderr, "error: %s\n", e.what());

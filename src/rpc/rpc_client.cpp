@@ -75,14 +75,6 @@ RpcClient::RpcClient(const std::string& host, uint16_t port, ClientConfig cfg)
   reader_ = std::thread([this] { reader_loop(); });
 }
 
-RpcClient::RpcClient(const std::string& host, uint16_t port,
-                     uint32_t max_frame)
-    : RpcClient(host, port, [max_frame] {
-        ClientConfig c;
-        c.max_frame = max_frame;
-        return c;
-      }()) {}
-
 RpcClient::~RpcClient() { close(); }
 
 void RpcClient::close() {

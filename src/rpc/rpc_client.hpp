@@ -132,8 +132,6 @@ class RpcClient {
   /// Connects (blocking) to `host:port`; throws std::system_error on
   /// failure. `host` is a dotted quad or "localhost".
   RpcClient(const std::string& host, uint16_t port, ClientConfig cfg = {});
-  /// Back-compat front for callers that only tune the frame cap.
-  RpcClient(const std::string& host, uint16_t port, uint32_t max_frame);
 
   /// Equivalent to close().
   ~RpcClient();

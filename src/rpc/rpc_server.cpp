@@ -682,7 +682,10 @@ void RpcServer::offload(std::function<void()> fn) {
 // Token-bucket + in-flight-cap admission for one data-plane request.
 // Rejections are BUSY — attributable and retryable, never a teardown: under
 // overload the one thing the daemon must NOT do is make clients guess
-// whether their request died, was dropped, or is still queued.
+// whether their request died, was dropped, or is still queued. A request
+// costing more than the burst could never find that many tokens in the
+// capped bucket, so it is admitted once the bucket is full and charged in
+// full: the bucket goes into debt, and the long-run rate still holds.
 bool RpcServer::admit(IoLoop& L, const std::shared_ptr<Conn>& c, uint64_t id,
                       double cost) {
   if (cfg_.conn_rate_limit > 0) {
@@ -696,7 +699,7 @@ bool RpcServer::admit(IoLoop& L, const std::shared_ptr<Conn>& c, uint64_t id,
       c->tokens = std::min(burst, c->tokens + dt * cfg_.conn_rate_limit);
     }
     c->last_refill = now;
-    if (c->tokens < cost) {
+    if (c->tokens < std::min(cost, burst)) {
       L.busy_ratelimit.fetch_add(1, std::memory_order_relaxed);
       BNR_LOG(obs::LogLevel::kInfo, "rpc", "busy_ratelimit",
               obs::kv("request_id", id) + obs::kv("cost", cost));
@@ -757,18 +760,26 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
     if (data_plane && obs::enabled())
       trace = std::make_shared<obs::RequestTrace>(h.request_id,
                                                   uint8_t(h.method));
+    // A frame counts once its body has decoded, BEFORE anything answers
+    // it: a client holding a response finds its frame in any later STATS.
+    auto count_frame = [&L] {
+      L.frames_in.fetch_add(1, std::memory_order_relaxed);
+    };
     switch (h.method) {
       case Method::kPing:
         expect_frame_done(rd, "PING");
+        count_frame();
         send_now(c, encode_ok(h.request_id));
         break;
       case Method::kStats: {
         expect_frame_done(rd, "STATS");
+        count_frame();
         send_now(c, encode_ok(h.request_id, encode_stats(snapshot_stats())));
         break;
       }
       case Method::kHealth: {
         expect_frame_done(rd, "HEALTH");
+        count_frame();
         send_now(c, encode_ok(h.request_id, encode_health(snapshot_health())));
         break;
       }
@@ -777,6 +788,7 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         expect_frame_done(rd, "METRICS");
         if (flags & ~(kMetricsText | kMetricsTraces))
           throw ProtocolError("METRICS: undefined flag bits");
+        count_frame();
         obs::MetricsSnapshot m = metrics_snapshot(flags & kMetricsTraces);
         Bytes body;
         if (flags & kMetricsText) {
@@ -789,11 +801,15 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         send_now(c, encode_ok(h.request_id, body));
         break;
       }
-      case Method::kRegisterTenant:
-        handle_register(c, h.request_id, rd);
+      case Method::kRegisterTenant: {
+        RegisterTenantRequest req = decode_register(rd);
+        count_frame();
+        handle_register(c, h.request_id, std::move(req));
         break;
+      }
       case Method::kVerify: {
         VerifyRequest req = decode_verify(rd);
+        count_frame();
         if (admit(L, c, h.request_id, 1)) {
           if (trace) trace->stamp(obs::Stage::kAdmitted);
           dispatch_verify(c, h.request_id, std::move(req), deadline,
@@ -803,6 +819,7 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
       }
       case Method::kBatchVerify: {
         BatchVerifyRequest req = decode_batch_verify(rd);
+        count_frame();
         if (admit(L, c, h.request_id,
                   std::max(1.0, double(req.items.size())))) {
           if (trace) trace->stamp(obs::Stage::kAdmitted);
@@ -813,6 +830,7 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
       }
       case Method::kCombine: {
         CombineRequest req = decode_combine(rd);
+        count_frame();
         if (admit(L, c, h.request_id, 1)) {
           if (trace) trace->stamp(obs::Stage::kAdmitted);
           dispatch_combine(c, h.request_id, std::move(req), std::move(trace));
@@ -820,7 +838,6 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         break;
       }
     }
-    L.frames_in.fetch_add(1, std::memory_order_relaxed);
     return true;
   } catch (const std::exception&) {
     // Structural violation (truncated body, bad counts, unknown ids,
@@ -830,9 +847,8 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
 }
 
 void RpcServer::handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
-                                ByteReader& rd) {
-  RegisterTenantRequest req = decode_register(rd);  // throws -> close
-  // From here on the frame is well-formed. ADMIN auth first: a wrong token
+                                RegisterTenantRequest req) {
+  // The caller decoded a well-formed frame. ADMIN auth first: a wrong token
   // is attributable (ERROR response, counted), never a protocol violation —
   // closing would tell a prober nothing it cannot already see.
   if (!cfg_.admin_token.empty() &&
@@ -1141,10 +1157,6 @@ void RpcServer::dispatch_combine(const std::shared_ptr<Conn>& c, uint64_t id,
         },
         trace);
   });
-}
-
-service::ServiceStats RpcServer::verify_stats() const {
-  return verify_->stats();
 }
 
 HealthStats RpcServer::snapshot_health() const {

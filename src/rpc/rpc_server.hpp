@@ -120,7 +120,9 @@ struct ServerConfig {
   /// Per-connection token bucket over the data-plane methods (VERIFY /
   /// BATCH_VERIFY / COMBINE; BATCH charges one token per item). Tokens
   /// refill at `conn_rate_limit` per second up to `conn_rate_burst` (0 =
-  /// defaults to the rate). conn_rate_limit 0 = no rate limiting.
+  /// defaults to the rate); a batch costing more than the burst is
+  /// admitted from a full bucket and leaves it in debt.
+  /// conn_rate_limit 0 = no rate limiting.
   double conn_rate_limit = 0;
   double conn_rate_burst = 0;
 };
@@ -167,8 +169,6 @@ class RpcServer {
     return verifier_cache_;
   }
   const threshold::SchemeRegistry& registry() const { return registry_; }
-  /// Aggregate verify-path stats across every scheme.
-  service::ServiceStats verify_stats() const;
 
  private:
   struct Conn;
@@ -204,7 +204,7 @@ class RpcServer {
   bool handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
                     std::span<const uint8_t> payload);
   void handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
-                       ByteReader& rd);
+                       RegisterTenantRequest req);
   void dispatch_verify(const std::shared_ptr<Conn>& c, uint64_t id,
                        VerifyRequest req,
                        std::chrono::steady_clock::time_point deadline,

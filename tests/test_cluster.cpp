@@ -19,58 +19,49 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fixtures.hpp"
 #include "rpc/cluster_client.hpp"
 #include "rpc/rpc_server.hpp"
-#include "service/thread_pool.hpp"
 
 namespace bnr {
 namespace {
 
 using namespace bnr::rpc;
 using namespace bnr::threshold;
+using testfx::LiveDaemon;
 
 constexpr const char* kLabel = "cluster-test/v1";
+constexpr const char* kAdminToken = "cluster-test-admin-token";
 
 /// N in-process daemons on ephemeral loopback ports, individually killable.
+/// Every daemon gates REGISTER behind kAdminToken, so each test's
+/// registrations also check that ClusterClient hands the token to every
+/// node.
 class ClusterTest : public testfx::RoSchemeFixture {
  protected:
   ClusterTest() : testfx::RoSchemeFixture(kLabel) {}
 
+  static ServerConfig node_config() {
+    ServerConfig cfg = testfx::daemon_config(kLabel);
+    cfg.admin_token = kAdminToken;
+    return cfg;
+  }
+
   void start_daemons(size_t n) {
-    pool_ = std::make_unique<service::ThreadPool>(4);
-    for (size_t i = 0; i < n; ++i) {
-      ServerConfig cfg;
-      cfg.port = 0;
-      cfg.params_label = kLabel;
-      cfg.cache_bytes = size_t(32) << 20;
-      cfg.batch.max_delay = std::chrono::milliseconds(1);
-      servers_.push_back(std::make_unique<RpcServer>(cfg, *pool_));
-      serving_.emplace_back([s = servers_.back().get()] { s->run(); });
-    }
+    for (size_t i = 0; i < n; ++i)
+      daemons_.push_back(std::make_unique<LiveDaemon>(node_config(), 2));
   }
 
-  void kill_daemon(size_t i) {
-    servers_[i]->stop();
-    serving_[i].join();
-  }
-
-  void TearDown() override {
-    for (size_t i = 0; i < servers_.size(); ++i)
-      if (serving_[i].joinable()) kill_daemon(i);
-    servers_.clear();
-    serving_.clear();
-    pool_.reset();
-  }
+  void kill_daemon(size_t i) { daemons_[i]->stop(); }
 
   ClusterConfig config() const {
     ClusterConfig cfg;
-    for (const auto& s : servers_)
-      cfg.nodes.push_back({"127.0.0.1", s->port()});
+    for (const auto& d : daemons_)
+      cfg.nodes.push_back({"127.0.0.1", d->port()});
     cfg.params_label = kLabel;
+    cfg.admin_token = kAdminToken;
     // Tests must not wait out the 1s production default when a node is
     // marked down and immediately re-probed.
     cfg.down_backoff = std::chrono::milliseconds(50);
@@ -80,9 +71,7 @@ class ClusterTest : public testfx::RoSchemeFixture {
     return cfg;
   }
 
-  std::unique_ptr<service::ThreadPool> pool_;
-  std::vector<std::unique_ptr<RpcServer>> servers_;
-  std::vector<std::thread> serving_;
+  std::vector<std::unique_ptr<LiveDaemon>> daemons_;
 };
 
 Committee committee_of(const KeyMaterial& km) {
@@ -211,15 +200,10 @@ TEST_F(ClusterTest, DownNodeCatchesUpOnResync) {
 
   // Bring a daemon back on the SAME port and resync: the log replays the
   // unacked suffix and the revived node now serves the tenant.
-  ServerConfig scfg;
-  scfg.port = 0;
-  scfg.params_label = kLabel;
-  scfg.batch.max_delay = std::chrono::milliseconds(1);
   // A fresh ephemeral port would not match the ring; instead rebuild the
   // cluster client over the revived topology. Real deployments pin ports;
   // ephemeral test ports force the rebuild.
-  servers_[2] = std::make_unique<RpcServer>(scfg, *pool_);
-  serving_[2] = std::thread([s = servers_[2].get()] { s->run(); });
+  daemons_[2] = std::make_unique<LiveDaemon>(node_config(), 2);
 
   ClusterConfig cfg2 = config();
   ClusterClient c2(cfg2);
@@ -263,10 +247,11 @@ TEST_F(ClusterTest, KillOneOfThreeFailsOverAndSurvivorAccountingHolds) {
   // Surviving nodes' accounting identity is intact: every request a live
   // daemon ingested was accepted or rejected — nothing hangs or leaks from
   // the dead node's sessions.
-  for (size_t i = 0; i < servers_.size(); ++i) {
+  for (size_t i = 0; i < daemons_.size(); ++i) {
     if (i == owner) continue;
-    auto vs = servers_[i]->verify_stats();
-    EXPECT_EQ(vs.submitted, vs.accepted + vs.rejected + vs.deadline_sheds)
+    const DaemonStats st = daemons_[i]->server().snapshot_stats();
+    EXPECT_EQ(st.verify_submitted,
+              st.verify_accepted + st.verify_rejected + st.verify_sheds)
         << "node " << i;
   }
 
@@ -284,7 +269,7 @@ TEST_F(ClusterTest, KillOneOfThreeFailsOverAndSurvivorAccountingHolds) {
     EXPECT_EQ(roll.total.*f.member, sum) << f.series;
   }
   ASSERT_EQ(roll.total.schemes.size(),
-            servers_[0]->registry().schemes().size());
+            daemons_[0]->server().registry().schemes().size());
   for (const SchemeStatsRow& total : roll.total.schemes) {
     const auto id = static_cast<SchemeId>(total.scheme);
     for (const auto& f : kSchemeRowFields) {

@@ -28,7 +28,6 @@
 #include "rpc/fault_injector.hpp"
 #include "rpc/rpc_client.hpp"
 #include "rpc/rpc_server.hpp"
-#include "service/thread_pool.hpp"
 
 namespace bnr {
 namespace {
@@ -36,6 +35,8 @@ namespace {
 using namespace bnr::rpc;
 using namespace bnr::threshold;
 using namespace std::chrono_literals;
+using testfx::LiveDaemon;
+using testfx::RawConn;
 
 uint64_t fault_seed() {
   if (const char* env = std::getenv("BNR_FAULT_SEED"))
@@ -215,82 +216,19 @@ TEST(WireOverload, RejectionAndHealthRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Live-daemon fixture with per-test server configs
+// Live daemons with per-test server configs
+
+constexpr const char* kLabel = "rpc-faults/v1";
 
 class FaultsTest : public testfx::RoSchemeFixture {
  protected:
-  FaultsTest() : testfx::RoSchemeFixture("rpc-faults/v1") {}
-
-  struct Daemon {
-    std::unique_ptr<service::ThreadPool> pool;
-    std::unique_ptr<RpcServer> server;
-    std::thread serving;
-
-    explicit Daemon(ServerConfig cfg, size_t threads = 4) {
-      pool = std::make_unique<service::ThreadPool>(threads);
-      server = std::make_unique<RpcServer>(cfg, *pool);
-      serving = std::thread([this] { server->run(); });
-    }
-    ~Daemon() { stop(); }
-    void stop() {
-      if (server) {
-        server->stop();
-        serving.join();
-        server.reset();
-        pool.reset();
-      }
-    }
-    uint16_t port() const { return server->port(); }
-  };
-
-  static ServerConfig base_cfg() {
-    ServerConfig cfg;
-    cfg.port = 0;
-    cfg.params_label = "rpc-faults/v1";
-    cfg.cache_bytes = size_t(64) << 20;
-    cfg.batch.max_delay = 1ms;
-    return cfg;
-  }
-
-  /// Raw framed round trip for frames RpcClient refuses to emit (e.g. a
-  /// zero budget).
-  static Bytes raw_round_trip(uint16_t port, const Bytes& payload) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0)
-      throw std::runtime_error("raw connect failed");
-    Bytes framed;
-    append_frame(framed, payload);
-    size_t off = 0;
-    while (off < framed.size()) {
-      ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
-                         MSG_NOSIGNAL);
-      if (n <= 0) break;
-      off += size_t(n);
-    }
-    // Read one whole response frame.
-    Bytes buf;
-    uint8_t chunk[4096];
-    Bytes frame;
-    FrameBuffer fb;
-    for (;;) {
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      fb.feed({chunk, size_t(n)});
-      if (fb.next(frame) == FrameBuffer::Result::kFrame) break;
-    }
-    ::close(fd);
-    return frame;
-  }
+  FaultsTest() : testfx::RoSchemeFixture(kLabel) {}
 };
 
 // A request whose wire budget is already zero on arrival is shed before any
 // body decode or service work; a control-plane PING rides free regardless.
 TEST_F(FaultsTest, SpentBudgetIsShedOnArrival) {
-  Daemon d(base_cfg());
+  LiveDaemon d(testfx::daemon_config(kLabel));
   auto km = keygen(3, 1);
   {
     RpcClient reg("127.0.0.1", d.port());
@@ -299,22 +237,23 @@ TEST_F(FaultsTest, SpentBudgetIsShedOnArrival) {
   auto [msg, sig] = make_signed(km, "arrival shed");
 
   VerifyRequest req{"acme", msg, sig.serialize()};
-  Bytes resp = raw_round_trip(d.port(), encode_verify(1, req, 0u));
+  Bytes resp = RawConn(d.port()).round_trip(encode_verify(1, req, 0u));
   ASSERT_FALSE(resp.empty());
   ByteReader rd(resp);
   ResponseHeader h = decode_response_header(rd);
   EXPECT_EQ(h.status, Status::kShed);
   EXPECT_EQ(h.request_id, 1u);
 
-  Bytes ping = raw_round_trip(d.port(), encode_empty_request(Method::kPing, 2, 0u));
+  Bytes ping =
+      RawConn(d.port()).round_trip(encode_empty_request(Method::kPing, 2, 0u));
   ASSERT_FALSE(ping.empty());
   ByteReader rd2(ping);
   EXPECT_EQ(decode_response_header(rd2).status, Status::kOk);
 
-  HealthStats health = d.server->snapshot_health();
+  HealthStats health = d.server().snapshot_health();
   EXPECT_EQ(health.shed_arrival, 1u);
   // The shed request never reached the verification service.
-  EXPECT_EQ(d.server->verify_stats().submitted, 0u);
+  EXPECT_EQ(d.server().snapshot_stats().verify_submitted, 0u);
 }
 
 // A deadline shorter than the batch window: the service drops the request
@@ -322,10 +261,10 @@ TEST_F(FaultsTest, SpentBudgetIsShedOnArrival) {
 // DeadlineExceeded, and the accounting splits submitted into
 // accepted + rejected + deadline_sheds exactly.
 TEST_F(FaultsTest, ServiceShedsExpiredDeadlinesBeforeTheFold) {
-  ServerConfig cfg = base_cfg();
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.batch.max_delay = 60ms;   // every sub-60ms deadline expires in queue
   cfg.batch.adaptive = false;   // pool-idle flush would beat the deadline
-  Daemon d(cfg);
+  LiveDaemon d(cfg);
   auto km = keygen(3, 1);
   RpcClient client("127.0.0.1", d.port());
   EXPECT_FALSE(client.register_ro_committee("acme", km).get());
@@ -338,15 +277,16 @@ TEST_F(FaultsTest, ServiceShedsExpiredDeadlinesBeforeTheFold) {
   EXPECT_THROW(doomed.get(), DeadlineExceeded);
 
   // The shed is attributed server-side too, once the flush timer fires.
-  service::ServiceStats vs;
+  DaemonStats st;
   for (int spin = 0; spin < 100; ++spin) {
-    vs = d.server->verify_stats();
-    if (vs.deadline_sheds > 0) break;
+    st = d.server().snapshot_stats();
+    if (st.verify_sheds > 0) break;
     std::this_thread::sleep_for(10ms);
   }
-  EXPECT_EQ(vs.submitted, 1u);
-  EXPECT_EQ(vs.deadline_sheds, 1u);
-  EXPECT_EQ(vs.accepted + vs.rejected + vs.deadline_sheds, vs.submitted);
+  EXPECT_EQ(st.verify_submitted, 1u);
+  EXPECT_EQ(st.verify_sheds, 1u);
+  EXPECT_EQ(st.verify_accepted + st.verify_rejected + st.verify_sheds,
+            st.verify_submitted);
   EXPECT_EQ(client.client_stats().deadline_local + client.client_stats().shed,
             1u);
 
@@ -361,10 +301,10 @@ TEST_F(FaultsTest, ServiceShedsExpiredDeadlinesBeforeTheFold) {
 // service snapshot, so they agree in every scrape, also while the service
 // is shedding.
 TEST_F(FaultsTest, MetricsShedSeriesAgreeWhileShedding) {
-  ServerConfig cfg = base_cfg();
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.batch.max_delay = 20ms;   // every 5ms deadline expires in queue
   cfg.batch.adaptive = false;   // pool-idle flush would beat the deadline
-  Daemon d(cfg);
+  LiveDaemon d(cfg);
   auto km = keygen(3, 1);
   RpcClient client("127.0.0.1", d.port());
   EXPECT_FALSE(client.register_ro_committee("acme", km).get());
@@ -413,11 +353,11 @@ TEST_F(FaultsTest, MetricsShedSeriesAgreeWhileShedding) {
 // a no-retry client sees RetriesExhausted, a retrying client rides out the
 // congestion, and the connection never tears down.
 TEST_F(FaultsTest, InFlightCapSendsBusyAndRetriesRecover) {
-  ServerConfig cfg = base_cfg();
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.max_in_flight = 1;
   cfg.batch.max_delay = 40ms;   // the first request camps on the only slot
   cfg.batch.adaptive = false;   // idle flush would free the slot instantly
-  Daemon d(cfg);
+  LiveDaemon d(cfg);
   auto km = keygen(3, 1);
 
   ClientConfig ccfg;
@@ -463,10 +403,10 @@ TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
     // BUSY. (REGISTER is control-plane: not charged.) The bucket refills
     // one token per 100 s, so however the 4 verifies are scheduled, none
     // can be admitted by a refill during the test.
-    ServerConfig cfg = base_cfg();
+    ServerConfig cfg = testfx::daemon_config(kLabel);
     cfg.conn_rate_limit = 0.01;
     cfg.conn_rate_burst = 2;
-    Daemon d(cfg);
+    LiveDaemon d(cfg);
     ClientConfig ccfg;
     ccfg.retry.max_attempts = 1;
     RpcClient client("127.0.0.1", d.port(), ccfg);
@@ -486,16 +426,18 @@ TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
     EXPECT_EQ(ok, 2);
     EXPECT_EQ(busy, 2);
     EXPECT_EQ(client.client_stats().busy, 2u);
-    HealthStats health = d.server->snapshot_health();
+    HealthStats health = d.server().snapshot_health();
     EXPECT_EQ(health.busy_ratelimit, 2u);
   }
   {
     // Retrying client against a bucket that refills fast enough to finish
     // the test: a burst of 10 all lands eventually through backoff + refill.
-    ServerConfig cfg = base_cfg();
+    // So does a BATCH_VERIFY of 3 items against the bucket of 2: it is
+    // admitted once the bucket is full and runs the bucket into debt.
+    ServerConfig cfg = testfx::daemon_config(kLabel);
     cfg.conn_rate_limit = 50;
     cfg.conn_rate_burst = 2;
-    Daemon d(cfg);
+    LiveDaemon d(cfg);
     ClientConfig ccfg;
     ccfg.retry.max_attempts = 12;
     ccfg.retry.initial_backoff = 20ms;
@@ -507,7 +449,13 @@ TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
     for (int j = 0; j < 10; ++j)
       futs.push_back(client.verify("acme", msg, sig));
     for (auto& f : futs) EXPECT_TRUE(f.get());
-    EXPECT_GE(client.client_stats().retries, 1u);
+    const std::vector<std::pair<Bytes, Signature>> items(3, {msg, sig});
+    EXPECT_EQ(client.batch_verify("acme", items).get(),
+              std::vector<bool>(3, true));
+    const ClientStats cs = client.client_stats();
+    EXPECT_GE(cs.retries, 1u);
+    EXPECT_GE(cs.busy, 1u);
+    EXPECT_EQ(cs.busy, d.server().snapshot_health().busy_ratelimit);
   }
 }
 
@@ -515,7 +463,7 @@ TEST_F(FaultsTest, ConnectionRateLimitBusyWithExactAccounting) {
 // socket path at once: no request is lost, no answer is wrong, and the
 // accounting still balances exactly.
 TEST_F(FaultsTest, ShortIoAndDelayChaosLosesNothing) {
-  Daemon d(base_cfg());
+  LiveDaemon d(testfx::daemon_config(kLabel));
   auto km = keygen(3, 1);
   RpcClient client("127.0.0.1", d.port());
   EXPECT_FALSE(client.register_ro_committee("acme", km).get());
@@ -538,9 +486,9 @@ TEST_F(FaultsTest, ShortIoAndDelayChaosLosesNothing) {
 
   auto counts = chaos.inj->counts();
   EXPECT_GT(counts.short_io + counts.eagain, 0u);  // the chaos actually ran
-  auto vs = d.server->verify_stats();
-  EXPECT_EQ(vs.submitted, uint64_t(kReqs));
-  EXPECT_EQ(vs.accepted + vs.rejected, vs.submitted);
+  const DaemonStats st = d.server().snapshot_stats();
+  EXPECT_EQ(st.verify_submitted, uint64_t(kReqs));
+  EXPECT_EQ(st.verify_accepted + st.verify_rejected, st.verify_submitted);
   ClientStats cs = client.client_stats();
   EXPECT_EQ(cs.sent, uint64_t(kReqs) + 1);  // + the registration
   EXPECT_EQ(cs.retries, 0u);  // nothing died, so nothing was resent
@@ -551,7 +499,7 @@ TEST_F(FaultsTest, ShortIoAndDelayChaosLosesNothing) {
 // reconnect machinery heals the session, and the daemon survives to serve
 // clean traffic afterwards.
 TEST_F(FaultsTest, ResetChaosCompletesEveryRequestExactlyOnce) {
-  Daemon d(base_cfg());
+  LiveDaemon d(testfx::daemon_config(kLabel));
   auto km = keygen(3, 1);
   ClientConfig ccfg;
   ccfg.retry.max_attempts = 8;
@@ -596,7 +544,7 @@ TEST_F(FaultsTest, ResetChaosCompletesEveryRequestExactlyOnce) {
 // Accept-storm chaos: dropped accepts cost clients a connection attempt but
 // never wedge the listener; once the storm passes, connects succeed.
 TEST_F(FaultsTest, AcceptFailuresDoNotWedgeTheListener) {
-  Daemon d(base_cfg());
+  LiveDaemon d(testfx::daemon_config(kLabel));
   {
     FaultSpec spec = FaultSpec::parse("accept_fail=0.5");
     ScopedInjector chaos(fault_seed(), spec);
@@ -626,11 +574,11 @@ TEST_F(FaultsTest, AcceptFailuresDoNotWedgeTheListener) {
 // or attributable error), the client reconnects, re-registers, and serves.
 TEST_F(FaultsTest, CrashRestartReconcilesOnTheSamePort) {
   auto km = keygen(3, 1);
-  auto cfg = base_cfg();
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   // Multi-loop on both sides of the crash: the restart rebinds all four
   // SO_REUSEPORT listeners to the SAME fixed port the first daemon held.
   cfg.io_threads = 4;
-  auto first = std::make_unique<Daemon>(cfg);
+  auto first = std::make_unique<LiveDaemon>(cfg);
   uint16_t port = first->port();
 
   ClientConfig ccfg;
@@ -650,7 +598,7 @@ TEST_F(FaultsTest, CrashRestartReconcilesOnTheSamePort) {
 
   // Restart on the same port while the client's keeper is reconnecting.
   cfg.port = port;
-  Daemon second(cfg);
+  LiveDaemon second(cfg);
   ASSERT_EQ(second.port(), port);
 
   // Every pre-crash promise completes exactly once and within bounds: a
@@ -760,7 +708,7 @@ TEST_F(FaultsTest, TelemetryInvariantsSurviveIoChaos) {
     cap.lines.emplace_back(line);
   });
 
-  Daemon d(base_cfg());
+  LiveDaemon d(testfx::daemon_config(kLabel));
   auto km = keygen(3, 1);
   {
     RpcClient client("127.0.0.1", d.port());
@@ -785,13 +733,13 @@ TEST_F(FaultsTest, TelemetryInvariantsSurviveIoChaos) {
   }  // traffic client gone: every connection that produced traces is freed
 
   // Invariant 1+2, read over a FRESH connection.
-  auto vs = d.server->verify_stats();
+  const DaemonStats st = d.server().snapshot_stats();
   RpcClient probe("127.0.0.1", d.port());
   auto m = probe.metrics_sync();
   uint64_t hist_total = 0;
   for (const auto& h : m.histograms)
     if (h.name == "bnr_verify_latency_seconds") hist_total += h.snap.count;
-  EXPECT_EQ(hist_total, vs.accepted + vs.rejected);
+  EXPECT_EQ(hist_total, st.verify_accepted + st.verify_rejected);
 
   ASSERT_FALSE(m.slow_traces.empty());
   for (const auto& t : m.slow_traces) {
@@ -808,14 +756,14 @@ TEST_F(FaultsTest, TelemetryInvariantsSurviveIoChaos) {
     ByteWriter w;
     w.u8(0xEE);
     w.u64(uint64_t(j));
-    raw_round_trip(d.port(), w.bytes());
+    RawConn(d.port()).round_trip(w.bytes());
   }
   std::this_thread::sleep_for(400ms);  // refill at 8/sec: >1 token back
   {
     ByteWriter w;
     w.u8(0xEE);
     w.u64(999);
-    raw_round_trip(d.port(), w.bytes());
+    RawConn(d.port()).round_trip(w.bytes());
   }
   bool saw_resync = false;
   {

@@ -10,13 +10,11 @@
 // threads all cross here.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <future>
+#include <sstream>
 #include <thread>
 
 #include "fixtures.hpp"
@@ -24,13 +22,14 @@
 #include "obs/obs.hpp"
 #include "rpc/rpc_client.hpp"
 #include "rpc/rpc_server.hpp"
-#include "service/thread_pool.hpp"
 
 namespace bnr {
 namespace {
 
 using namespace bnr::rpc;
 using namespace bnr::threshold;
+using testfx::LiveDaemon;
+using testfx::RawConn;
 
 // ---------------------------------------------------------------------------
 // Pure wire-level units (no sockets)
@@ -243,73 +242,16 @@ TEST(Wire, HostileCountsCannotDriveAllocations) {
 // ---------------------------------------------------------------------------
 // Live daemon fixture
 
+constexpr const char* kLabel = "rpc-daemon/v1";
+
 class RpcDaemonTest : public testfx::RoSchemeFixture {
  protected:
-  RpcDaemonTest() : testfx::RoSchemeFixture("rpc-daemon/v1") {}
+  RpcDaemonTest() : testfx::RoSchemeFixture(kLabel) {}
 
-  void SetUp() override {
-    pool_ = std::make_unique<service::ThreadPool>(4);
-    ServerConfig cfg;
-    cfg.port = 0;
-    cfg.params_label = "rpc-daemon/v1";
-    cfg.cache_bytes = size_t(64) << 20;
-    // Short batching delay: tests wait on round trips, not on flush timers.
-    cfg.batch.max_delay = std::chrono::milliseconds(1);
-    server_ = std::make_unique<RpcServer>(cfg, *pool_);
-    serving_ = std::thread([this] { server_->run(); });
-  }
+  uint16_t port() const { return daemon_.port(); }
+  RpcServer& server() { return daemon_.server(); }
 
-  void TearDown() override {
-    if (server_) {
-      server_->stop();
-      serving_.join();
-      server_.reset();
-    }
-    pool_.reset();
-  }
-
-  uint16_t port() const { return server_->port(); }
-
-  /// Raw TCP helper for hostile-bytes tests (RpcClient refuses to emit
-  /// malformed frames).
-  struct RawConn {
-    int fd = -1;
-    explicit RawConn(uint16_t port) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(port);
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0)
-        throw std::runtime_error("raw connect failed");
-    }
-    ~RawConn() {
-      if (fd >= 0) ::close(fd);
-    }
-    void send_all(std::span<const uint8_t> data) {
-      size_t off = 0;
-      while (off < data.size()) {
-        ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                           MSG_NOSIGNAL);
-        if (n <= 0) return;  // peer already closed on us: fine for tests
-        off += size_t(n);
-      }
-    }
-    /// Blocks until the peer closes (returns total bytes read until EOF).
-    size_t read_to_eof() {
-      uint8_t buf[4096];
-      size_t total = 0;
-      for (;;) {
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) return total;
-        total += size_t(n);
-      }
-    }
-  };
-
-  std::unique_ptr<service::ThreadPool> pool_;
-  std::unique_ptr<RpcServer> server_;
-  std::thread serving_;
+  LiveDaemon daemon_{testfx::daemon_config(kLabel)};
 };
 
 TEST_F(RpcDaemonTest, VerifyCombineAndStatsRoundTrip) {
@@ -321,17 +263,31 @@ TEST_F(RpcDaemonTest, VerifyCombineAndStatsRoundTrip) {
   EXPECT_TRUE(client.verify_sync("acme", msg, sig));
   EXPECT_FALSE(client.verify_sync("acme", msg, forge(sig)));
 
+  // BATCH_VERIFY answers one verdict per item, in order. An item whose
+  // signature does not parse is answered false without reaching the
+  // service, and an empty batch is answered with no verdicts.
+  const Bytes good = sig.serialize();
+  const Bytes malformed(good.begin(), good.end() - 1);
+  EXPECT_EQ(client
+                .batch_verify_bytes("acme", {{msg, good},
+                                             {msg, forge(sig).serialize()},
+                                             {msg, malformed}})
+                .get(),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_TRUE(client.batch_verify_bytes("acme", {}).get().empty());
+
   // Combine over the wire equals the local combine.
   Bytes m2 = to_bytes("wire combine");
   auto parts = first_partials(km, m2);
   Signature combined = client.combine_sync("acme", m2, parts);
   EXPECT_TRUE(scheme.verify(km.pk, m2, combined));
 
+  // The two VERIFYs and the batch's two well-formed items.
   auto st = client.stats_sync();
   EXPECT_EQ(st.tenants, 1u);
-  EXPECT_EQ(st.verify_submitted, 2u);
-  EXPECT_EQ(st.verify_accepted, 1u);
-  EXPECT_EQ(st.verify_rejected, 1u);
+  EXPECT_EQ(st.verify_submitted, 4u);
+  EXPECT_EQ(st.verify_accepted, 2u);
+  EXPECT_EQ(st.verify_rejected, 2u);
   EXPECT_EQ(st.combines, 1u);
   EXPECT_EQ(st.protocol_errors, 0u);
 }
@@ -375,7 +331,7 @@ TEST_F(RpcDaemonTest, PkDigestDedupAcrossTenants) {
     EXPECT_TRUE(client.verify_sync(t, msg, sig));
 
   // One prepared entry serves all four tenants.
-  auto cs = server_->verifier_cache().stats();
+  auto cs = server().verifier_cache().stats();
   EXPECT_EQ(cs.inserts, 1u);
   EXPECT_EQ(cs.deduped, 3u);
   EXPECT_EQ(cs.aliases, 4u);
@@ -400,9 +356,7 @@ TEST_F(RpcDaemonTest, MalformedFrameClosesOnlyThatConnection) {
     ByteWriter w;
     w.u8(0xEE);
     w.u64(1);
-    Bytes framed;
-    append_frame(framed, w.bytes());
-    raw.send_all(framed);
+    raw.send_frame(w.bytes());
     EXPECT_EQ(raw.read_to_eof(), 0u);  // closed without a response
   }
   {  // Oversized declared length.
@@ -416,15 +370,13 @@ TEST_F(RpcDaemonTest, MalformedFrameClosesOnlyThatConnection) {
     ByteWriter w;
     encode_request_header(w, Method::kVerify, 3);
     w.u32(1000);  // claims a 1000-byte key, then nothing
-    Bytes framed;
-    append_frame(framed, w.bytes());
-    raw.send_all(framed);
+    raw.send_frame(w.bytes());
     EXPECT_EQ(raw.read_to_eof(), 0u);
   }
 
   // The well-behaved client is unaffected.
   EXPECT_TRUE(good.verify_sync("acme", msg, sig));
-  EXPECT_GE(server_->snapshot_stats().protocol_errors, 3u);
+  EXPECT_GE(server().snapshot_stats().protocol_errors, 3u);
 }
 
 // Seeded fuzz-style sweep: mutate valid frames (truncate, bit-flip, inflate
@@ -494,14 +446,14 @@ TEST_F(RpcDaemonTest, FuzzedFramesNeverKillTheDaemon) {
     }
     RawConn raw(port());
     raw.send_all(mutated);
-    ::shutdown(raw.fd, SHUT_WR);
+    raw.shutdown_write();
     raw.read_to_eof();  // whatever happens, the daemon must move on
   }
 
   // Alive, sane, and still correct for honest traffic.
   EXPECT_TRUE(good.verify_sync("acme", msg, sig));
   EXPECT_FALSE(good.closed());
-  auto st = server_->snapshot_stats();
+  auto st = server().snapshot_stats();
   // The daemon never staged a buffer beyond one frame per connection; its
   // resident cache is the one tenant entry, not fuzz garbage.
   EXPECT_LE(st.cache_resident_entries, 4u);
@@ -545,11 +497,11 @@ TEST_F(RpcDaemonTest, ConcurrentClientsWithAttributedFailures) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(wrong.load(), 0);
 
-  auto vs = server_->verify_stats();
-  EXPECT_EQ(vs.submitted, uint64_t(kClients) * kReqs);
-  EXPECT_EQ(vs.accepted + vs.rejected, vs.submitted);
+  const DaemonStats st = server().snapshot_stats();
+  EXPECT_EQ(st.verify_submitted, uint64_t(kClients) * kReqs);
+  EXPECT_EQ(st.verify_accepted + st.verify_rejected, st.verify_submitted);
   // Pipelining actually batched: far fewer folds than requests.
-  EXPECT_LT(vs.batches, vs.submitted);
+  EXPECT_LT(st.verify_batches, st.verify_submitted);
 }
 
 TEST_F(RpcDaemonTest, MidRequestDisconnectLeavesDaemonHealthy) {
@@ -591,7 +543,7 @@ TEST_F(RpcDaemonTest, MidRequestDisconnectLeavesDaemonHealthy) {
     raw.send_all(partial);
   }
   EXPECT_TRUE(good.verify_sync("acme", msg, sig));
-  server_->verifier_cache().stats();  // still consistent under the shard locks
+  server().verifier_cache().stats();  // still consistent under the shard locks
 }
 
 // Every scheme the registry serves — RO, DLIN, Agg, BLS — is provisioned
@@ -604,7 +556,7 @@ TEST_F(RpcDaemonTest, AllRegisteredSchemesServeOverTheWire) {
   Bytes other = to_bytes("wire: a different message");
   Rng sample_rng("all-schemes-wire");
 
-  for (const Scheme* sch : server_->registry().schemes()) {
+  for (const Scheme* sch : server().registry().schemes()) {
     SCOPED_TRACE(std::string(sch->name()));
     SchemeSample good = sch->make_sample(3, 1, msg, sample_rng);
     SchemeSample wrong = sch->make_sample(3, 1, other, sample_rng);
@@ -653,72 +605,52 @@ TEST_F(RpcDaemonTest, AdminTokenGatesRegistration) {
   // A daemon with an admin token: REGISTER without (or with a wrong) token
   // is an attributable error, counted, and registers nothing; the right
   // token works; VERIFY needs no token.
-  service::ThreadPool pool(2);
-  ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = "rpc-daemon/v1";
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.admin_token = "super-secret";
-  cfg.batch.max_delay = std::chrono::milliseconds(1);
-  RpcServer server(cfg, pool);
-  std::thread serving([&] { server.run(); });
+  LiveDaemon d(cfg, 2);
 
   auto km = keygen(3, 1);
   auto [msg, sig] = make_signed(km, "authed");
-  {
-    RpcClient anon("127.0.0.1", server.port());
-    EXPECT_THROW(anon.register_ro_committee("acme", km).get(), RpcError);
-    anon.set_admin_token("wrong-guess");
-    EXPECT_THROW(anon.register_ro_committee("acme", km).get(), RpcError);
-    // Nothing was registered.
-    EXPECT_THROW(anon.verify_sync("acme", msg, sig), RpcError);
+  RpcClient anon("127.0.0.1", d.port());
+  EXPECT_THROW(anon.register_ro_committee("acme", km).get(), RpcError);
+  anon.set_admin_token("wrong-guess");
+  EXPECT_THROW(anon.register_ro_committee("acme", km).get(), RpcError);
+  // Nothing was registered.
+  EXPECT_THROW(anon.verify_sync("acme", msg, sig), RpcError);
 
-    RpcClient admin("127.0.0.1", server.port());
-    admin.set_admin_token("super-secret");
-    EXPECT_FALSE(admin.register_ro_committee("acme", km).get());
-    // Data-plane requests are not gated — the anonymous client verifies.
-    EXPECT_TRUE(anon.verify_sync("acme", msg, sig));
+  RpcClient admin("127.0.0.1", d.port());
+  admin.set_admin_token("super-secret");
+  EXPECT_FALSE(admin.register_ro_committee("acme", km).get());
+  // Data-plane requests are not gated — the anonymous client verifies.
+  EXPECT_TRUE(anon.verify_sync("acme", msg, sig));
 
-    auto st = anon.stats_sync();
-    EXPECT_EQ(st.auth_failures, 2u);
-    EXPECT_EQ(st.tenants, 1u);
-    EXPECT_EQ(st.protocol_errors, 0u);
-  }
-  server.stop();
-  serving.join();
+  auto st = anon.stats_sync();
+  EXPECT_EQ(st.auth_failures, 2u);
+  EXPECT_EQ(st.tenants, 1u);
+  EXPECT_EQ(st.protocol_errors, 0u);
 }
 
 TEST_F(RpcDaemonTest, ConnectionCapAcceptsAndCloses) {
-  service::ThreadPool pool(2);
-  ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = "rpc-daemon/v1";
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.max_connections = 2;
-  cfg.batch.max_delay = std::chrono::milliseconds(1);
-  RpcServer server(cfg, pool);
-  std::thread serving([&] { server.run(); });
+  LiveDaemon d(cfg, 2);
 
-  {
-    // Two connections fit under the cap and stay serviceable.
-    RpcClient a("127.0.0.1", server.port());
-    RpcClient b("127.0.0.1", server.port());
-    a.ping().get();
-    b.ping().get();
+  // Two connections fit under the cap and stay serviceable.
+  RpcClient a("127.0.0.1", d.port());
+  RpcClient b("127.0.0.1", d.port());
+  a.ping().get();
+  b.ping().get();
 
-    // The third is accepted and immediately closed: clean EOF, no service.
-    RawConn overflow(server.port());
-    Bytes ping;
-    append_frame(ping, encode_empty_request(Method::kPing, 1));
-    overflow.send_all(ping);
-    EXPECT_EQ(overflow.read_to_eof(), 0u);
+  // The third is accepted and immediately closed: clean EOF, no service.
+  RawConn overflow(d.port());
+  overflow.send_frame(encode_empty_request(Method::kPing, 1));
+  EXPECT_EQ(overflow.read_to_eof(), 0u);
 
-    auto st = a.stats_sync();
-    EXPECT_GE(st.conns_rejected, 1u);
-    EXPECT_EQ(st.protocol_errors, 0u);
-    // The capped connections keep working.
-    b.ping().get();
-  }
-  server.stop();
-  serving.join();
+  auto st = a.stats_sync();
+  EXPECT_GE(st.conns_rejected, 1u);
+  EXPECT_EQ(st.protocol_errors, 0u);
+  // The capped connections keep working.
+  b.ping().get();
 }
 
 // `connections` is the LIFETIME accept counter and `open_connections` the
@@ -759,15 +691,11 @@ TEST_F(RpcDaemonTest, OpenConnectionsGaugeVsLifetimeAccepts) {
 // many threads, hold every accepted socket open, and assert the live gauge
 // never exceeds the cap once every attempt is accounted for.
 TEST_F(RpcDaemonTest, MultiLoopAcceptStormNeverExceedsCap) {
-  service::ThreadPool pool(2);
-  ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = "rpc-daemon/v1";
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.io_threads = 4;
   cfg.max_connections = 4;
-  cfg.batch.max_delay = std::chrono::milliseconds(1);
-  RpcServer server(cfg, pool);
-  std::thread serving([&] { server.run(); });
+  LiveDaemon d(cfg, 2);
+  RpcServer& server = d.server();
 
   constexpr int kRounds = 8;
   constexpr int kThreads = 4;
@@ -811,8 +739,6 @@ TEST_F(RpcDaemonTest, MultiLoopAcceptStormNeverExceedsCap) {
     }
     EXPECT_EQ(server.snapshot_stats().open_connections, 0u);
   }
-  server.stop();
-  serving.join();
 }
 
 TEST_F(RpcDaemonTest, GracefulShutdownDrainsInFlightBatches) {
@@ -824,8 +750,7 @@ TEST_F(RpcDaemonTest, GracefulShutdownDrainsInFlightBatches) {
   // A pipelined burst, then stop() races the responses.
   std::vector<std::future<bool>> futs;
   for (int j = 0; j < 64; ++j) futs.push_back(client.verify("acme", msg, sig));
-  server_->stop();
-  serving_.join();
+  daemon_.stop();
 
   // Every request the daemon READ is answered or failed — none hang.
   size_t answered = 0;
@@ -838,10 +763,9 @@ TEST_F(RpcDaemonTest, GracefulShutdownDrainsInFlightBatches) {
     }
   }
   // The services drained: everything submitted was resolved.
-  auto vs = server_->verify_stats();
-  EXPECT_EQ(vs.accepted + vs.rejected, vs.submitted);
+  const DaemonStats st = server().snapshot_stats();
+  EXPECT_EQ(st.verify_accepted + st.verify_rejected, st.verify_submitted);
   EXPECT_LE(answered, 64u);
-  server_.reset();  // destructor after run() returned: clean teardown
 }
 
 // ---------------------------------------------------------------------------
@@ -852,15 +776,11 @@ TEST_F(RpcDaemonTest, GracefulShutdownDrainsInFlightBatches) {
 // graceful stop() drains EVERY loop: no pipelined request vanishes because
 // its connection happened to live on loop 2.
 TEST_F(RpcDaemonTest, MultiLoopServesConcurrentClientsAndDrainsAllLoops) {
-  service::ThreadPool pool(4);
-  ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = "rpc-daemon/v1";
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.io_threads = 4;
-  cfg.batch.max_delay = std::chrono::milliseconds(1);
-  RpcServer server(cfg, pool);
+  LiveDaemon d(cfg);
+  RpcServer& server = d.server();
   EXPECT_EQ(server.io_loops(), 4u);
-  std::thread serving([&] { server.run(); });
 
   auto km = keygen(3, 1);
   auto [msg, sig] = make_signed(km, "multi-loop");
@@ -898,11 +818,12 @@ TEST_F(RpcDaemonTest, MultiLoopServesConcurrentClientsAndDrainsAllLoops) {
   EXPECT_EQ(st.connections, uint64_t(kClients) + 1);
   EXPECT_EQ(st.protocol_errors, 0u);
 
-  server.stop();
-  serving.join();
-  auto vs = server.verify_stats();
-  EXPECT_EQ(vs.submitted, uint64_t(kClients) * kReqs);
-  EXPECT_EQ(vs.accepted + vs.rejected + vs.deadline_sheds, vs.submitted);
+  d.stop();
+  const DaemonStats drained = server.snapshot_stats();
+  EXPECT_EQ(drained.verify_submitted, uint64_t(kClients) * kReqs);
+  EXPECT_EQ(drained.verify_accepted + drained.verify_rejected +
+                drained.verify_sheds,
+            drained.verify_submitted);
 }
 
 // Cross-loop accounting is EXACT, not approximate: each loop owns a counter
@@ -911,44 +832,24 @@ TEST_F(RpcDaemonTest, MultiLoopServesConcurrentClientsAndDrainsAllLoops) {
 // attributed: frames, protocol errors, arrival sheds, and the service-side
 // submitted == accepted + rejected + deadline_sheds split.
 TEST_F(RpcDaemonTest, PerLoopCountersAggregateExactlyAcrossLoops) {
-  service::ThreadPool pool(4);
-  ServerConfig cfg;
-  cfg.port = 0;
-  cfg.params_label = "rpc-daemon/v1";
+  ServerConfig cfg = testfx::daemon_config(kLabel);
   cfg.io_threads = 4;
-  cfg.batch.max_delay = std::chrono::milliseconds(1);
-  RpcServer server(cfg, pool);
-  std::thread serving([&] { server.run(); });
+  LiveDaemon d(cfg);
+  RpcServer& server = d.server();
 
   auto km = keygen(3, 1);
   auto [msg, sig] = make_signed(km, "per-loop");
   RpcClient client("127.0.0.1", server.port());
   EXPECT_FALSE(client.register_ro_committee("acme", km).get());
 
-  // Sends one framed payload on a FRESH connection (its own loop) and reads
-  // back one response frame.
-  auto raw_round_trip = [&](const Bytes& payload) {
-    RawConn raw(server.port());
-    Bytes framed;
-    append_frame(framed, payload);
-    raw.send_all(framed);
-    uint8_t chunk[4096];
-    FrameBuffer fb;
-    Bytes frame;
-    for (;;) {
-      ssize_t n = ::recv(raw.fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return Bytes{};
-      fb.feed({chunk, size_t(n)});
-      if (fb.next(frame) == FrameBuffer::Result::kFrame) return frame;
-    }
-  };
-
   // Budget-0 requests are shed at arrival by whichever loop reads them;
-  // each rides its own connection so the sheds land on multiple loops.
+  // each rides its own (fresh) connection so the sheds land on multiple
+  // loops.
   constexpr int kSheds = 8;
   for (int j = 0; j < kSheds; ++j) {
     VerifyRequest req{"acme", msg, sig.serialize()};
-    Bytes resp = raw_round_trip(encode_verify(uint64_t(j + 1), req, 0u));
+    Bytes resp = RawConn(server.port())
+                     .round_trip(encode_verify(uint64_t(j + 1), req, 0u));
     ASSERT_FALSE(resp.empty());
     ByteReader rd(resp);
     EXPECT_EQ(decode_response_header(rd).status, Status::kShed);
@@ -960,9 +861,7 @@ TEST_F(RpcDaemonTest, PerLoopCountersAggregateExactlyAcrossLoops) {
     ByteWriter w;
     w.u8(0xEE);
     w.u64(uint64_t(j));
-    Bytes framed;
-    append_frame(framed, w.bytes());
-    raw.send_all(framed);
+    raw.send_frame(w.bytes());
     EXPECT_EQ(raw.read_to_eof(), 0u);
   }
   // Real traffic on top.
@@ -983,12 +882,13 @@ TEST_F(RpcDaemonTest, PerLoopCountersAggregateExactlyAcrossLoops) {
   // verifies + shed requests + the final STATS/HEALTH probes themselves.
   EXPECT_GE(st.frames_in, 1u + kVerifies + kSheds);
 
-  server.stop();
-  serving.join();
-  auto vs = server.verify_stats();
-  EXPECT_EQ(vs.submitted, uint64_t(kVerifies));
-  EXPECT_EQ(vs.accepted + vs.rejected + vs.deadline_sheds, vs.submitted);
-  EXPECT_EQ(vs.accepted, uint64_t(kVerifies));
+  d.stop();
+  const DaemonStats drained = server.snapshot_stats();
+  EXPECT_EQ(drained.verify_submitted, uint64_t(kVerifies));
+  EXPECT_EQ(drained.verify_accepted + drained.verify_rejected +
+                drained.verify_sheds,
+            drained.verify_submitted);
+  EXPECT_EQ(drained.verify_accepted, uint64_t(kVerifies));
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,6 +967,52 @@ TEST(Wire, MetricsSnapshotRoundTrip) {
   EXPECT_FALSE(d.slow_traces[0].has(obs::Stage::kQueued));
 }
 
+/// Prometheus text exposition as the renderer writes it: no blank line,
+/// every line a `# ...` comment or `series[{labels}] value` with a numeric
+/// value, and within each histogram the cumulative `_bucket` counts never
+/// fall (the renderer writes them in ascending `le`).
+::testing::AssertionResult prometheus_text_well_formed(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  size_t series = 0;
+  std::string bucket_prefix;  // the current histogram's series + labels
+  double last_bucket = 0;
+  while (std::getline(in, line)) {
+    if (line.empty()) return ::testing::AssertionFailure() << "blank line";
+    if (line[0] == '#') continue;
+    const size_t sp = line.rfind(' ');
+    if (sp == std::string::npos || sp == 0 || sp + 1 >= line.size())
+      return ::testing::AssertionFailure() << "no series/value split: " << line;
+    const std::string name = line.substr(0, sp);
+    if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_')
+      return ::testing::AssertionFailure() << "bad series name: " << line;
+    double value = 0;
+    try {
+      size_t used = 0;
+      value = std::stod(line.substr(sp + 1), &used);
+      if (used != line.size() - sp - 1) throw std::invalid_argument("tail");
+    } catch (const std::exception&) {
+      return ::testing::AssertionFailure() << "bad value: " << line;
+    }
+    const size_t le = name.find("le=\"");
+    if (name.find("_bucket{") != std::string::npos && le != std::string::npos) {
+      const std::string prefix = name.substr(0, le);
+      if (prefix != bucket_prefix) {
+        bucket_prefix = prefix;
+        last_bucket = 0;
+      }
+      if (value < last_bucket)
+        return ::testing::AssertionFailure()
+               << "cumulative bucket falls below " << last_bucket << ": "
+               << line;
+      last_bucket = value;
+    }
+    ++series;
+  }
+  if (series == 0) return ::testing::AssertionFailure() << "no series";
+  return ::testing::AssertionSuccess();
+}
+
 // The wire histogram's percentiles are validated against a CLIENT-side
 // sorted-vector oracle: the client times every round trip itself, and since
 // the server-recorded verify latency is a strict sub-interval of the
@@ -1115,9 +1061,13 @@ TEST_F(RpcDaemonTest, MetricsRoundTripAgainstClientOracle) {
   }
   EXPECT_LE(vh->snap.max, client_ns.back() + client_ns.back() / 64 + 1);
 
-  // The structured and text planes agree on the same scrape.
+  // The structured and text planes agree on the same scrape, and the text
+  // is a well-formed exposition.
   std::string text = client.metrics_text_sync();
+  EXPECT_TRUE(prometheus_text_well_formed(text));
   EXPECT_NE(text.find("# TYPE bnr_verify_latency_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("bnr_verify_latency_seconds_bucket{scheme=\"ro\",le="),
             std::string::npos);
   EXPECT_NE(
       text.find("bnr_verify_latency_seconds_count{scheme=\"ro\"} " +
@@ -1153,7 +1103,7 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
   EXPECT_TRUE(scheme.verify(
       km.pk, msg, client.combine_sync("ro-tenant", msg, first_partials(km, msg))));
 
-  const Scheme& dlin = server_->registry().at(SchemeId::kDlin);
+  const Scheme& dlin = server().registry().at(SchemeId::kDlin);
   Rng sample_rng("metrics-mirror");
   SchemeSample good = dlin.make_sample(3, 1, msg, sample_rng);
   SchemeSample wrong = dlin.make_sample(3, 1, to_bytes("other"), sample_rng);
@@ -1171,14 +1121,22 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
   {
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
-    for (size_t i = 0; i < pool_->size(); ++i)
-      pool_->submit([gate] { gate.wait(); });
+    // The VERIFY goes out only once every worker is inside a gate task;
+    // a worker still free could decode and verify it in time.
+    std::atomic<size_t> held{0};
+    for (size_t i = 0; i < daemon_.pool().size(); ++i)
+      daemon_.pool().submit([gate, &held] {
+        held.fetch_add(1, std::memory_order_relaxed);
+        gate.wait();
+      });
+    while (held.load(std::memory_order_relaxed) < daemon_.pool().size())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     RequestOptions tight;
     tight.deadline = std::chrono::milliseconds(20);
     tight.max_attempts = 1;
     auto in_flight_becomes = [&](uint64_t n) {
       for (int ms = 0; ms < 10000; ++ms) {
-        if (server_->snapshot_health().in_flight == n) return true;
+        if (server().snapshot_health().in_flight == n) return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       return false;
@@ -1193,7 +1151,7 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
   }
 
   const obs::MetricsSnapshot scrape = client.metrics_sync(0);
-  for (const Scheme* sch : server_->registry().schemes()) {
+  for (const Scheme* sch : server().registry().schemes()) {
     const std::string lbl = "scheme=\"" + std::string(sch->name()) + "\"";
     auto value = [&](const char* series) {
       const obs::MetricPoint* p = scrape.find_point(series, lbl);
@@ -1211,9 +1169,9 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
 
   // Quiescent, in-process (a wire STATS would add its own frame to
   // frames_in): the snapshots agree point for point.
-  const obs::MetricsSnapshot m = server_->metrics_snapshot(false);
-  const DaemonStats st = server_->snapshot_stats();
-  const HealthStats h = server_->snapshot_health();
+  const obs::MetricsSnapshot m = server().metrics_snapshot(false);
+  const DaemonStats st = server().snapshot_stats();
+  const HealthStats h = server().snapshot_health();
   struct Expect {
     const char* series;
     obs::MetricKind kind;
@@ -1259,7 +1217,7 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
          {"bnr_shed_in_service_total", kCounter, h.shed_in_service}},
         "");
   for (const SchemeStatsRow& r : st.schemes) {
-    const Scheme& sch = server_->registry().at(SchemeId(r.scheme));
+    const Scheme& sch = server().registry().at(SchemeId(r.scheme));
     check({{"bnr_scheme_tenants", kGauge, r.tenants},
            {"bnr_scheme_deduped_total", kCounter, r.deduped},
            {"bnr_scheme_verify_submitted_total", kCounter, r.verify_submitted},
@@ -1284,12 +1242,10 @@ TEST_F(RpcDaemonTest, MetricsMirrorStatsAndHealth) {
 
 TEST_F(RpcDaemonTest, MetricsUndefinedFlagBitsAreProtocolError) {
   RawConn raw(port());
-  Bytes framed;
-  append_frame(framed, encode_metrics_request(1, 0x80));  // undefined bit
-  raw.send_all(framed);
+  raw.send_frame(encode_metrics_request(1, 0x80));  // undefined bit
   // The daemon closes the connection rather than guessing at future flags.
   EXPECT_EQ(raw.read_to_eof(), 0u);
-  auto st = server_->snapshot_stats();
+  auto st = server().snapshot_stats();
   EXPECT_EQ(st.protocol_errors, 1u);
 }
 
