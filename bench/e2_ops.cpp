@@ -4,9 +4,7 @@
 // plus two hash-on-curve ops (Share-Sign); the verifier computes a product
 // of four pairings (Verify). RSA baselines pay large-modulus
 // exponentiations that grow ~cubically with the modulus.
-#include <benchmark/benchmark.h>
-
-#include "bench_util.hpp"
+#include "gbench_json.hpp"
 
 #include "baselines/boldyreva.hpp"
 #include "baselines/shoup_rsa.hpp"
@@ -248,50 +246,6 @@ BENCHMARK(BM_Shoup1024_ShareVerify)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Shoup1024_Combine)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Shoup1024_Verify)->Unit(benchmark::kMillisecond);
 
-namespace {
-
-// Console reporter that additionally records every run into the shared
-// bench_util JSON schema, so E2 emits BENCH_e2.json like E5 does.
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  explicit JsonTeeReporter(bnr::bench::JsonWriter& out) : out_(out) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      if (run_failed(run, 0)) continue;
-      // GetAdjustedRealTime is per-iteration time in run.time_unit units;
-      // normalize to ns for the shared JSON schema.
-      double ns = run.GetAdjustedRealTime() * 1e9 /
-                  benchmark::GetTimeUnitMultiplier(run.time_unit);
-      out_.record(run.benchmark_name(), ns);
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  // google-benchmark renamed Run::error_occurred to Run::skipped in 1.8;
-  // detect whichever this library version has.
-  template <class R>
-  static auto run_failed(const R& r, int) -> decltype(bool(r.skipped)) {
-    return bool(r.skipped);
-  }
-  template <class R>
-  static bool run_failed(const R& r, long) {
-    return r.error_occurred;
-  }
-
-  bnr::bench::JsonWriter& out_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  bnr::bench::JsonWriter out("BENCH_e2.json");
-  JsonTeeReporter reporter(out);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  out.flush();
-  return 0;
+  return bnr::bench::run_benchmarks_to_json(argc, argv, "BENCH_e2.json");
 }

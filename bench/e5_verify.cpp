@@ -10,8 +10,9 @@
 //   4. batched          N signatures folded into ONE 4-pairing product via
 //                       128-bit random linear combination + Pippenger MSM
 //
-// Emits BENCH_e5.json records (name, ns/op) so the perf trajectory is
-// tracked from this PR onward.
+// Emits BENCH_e5.json records (name, ns/op). field/mul, a chain of
+// dependent Fp multiplies timed in the batch's rounds, is the runner-speed
+// unit CI measures verify/batch_x64 in.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -33,6 +34,15 @@ std::vector<PairingTerm> make_terms(size_t k) {
 }
 
 volatile bool sink = false;
+
+/// A chain of dependent Fp multiplies through operator*, the unit CI reads
+/// the batch cost in: the pairing code above the field kernels can change
+/// without moving it.
+constexpr int kMulChain = 10000;
+Fp mul_chain(Fp a, const Fp& b) {
+  for (int i = 0; i < kMulChain; ++i) a = a * b;
+  return a;
+}
 
 }  // namespace
 
@@ -112,9 +122,9 @@ int main() {
     return multi_pairing_reference(terms).is_identity();
   };
 
-  // The two gated ratios (seed_reference : cached and individual_x64 :
-  // batch_x64) are timed in alternating rounds, each name recording its
-  // median over the rounds.
+  // The gated readings (seed_reference : cached, and batch_x64 in
+  // field/mul units) are timed in alternating rounds, each name recording
+  // its median over the rounds.
   constexpr int kRounds = 7;
   const auto single = bench::alternating_ns(
       {[&] { sink = verify_seed_path(msgs[0], sigs[0]); },
@@ -126,6 +136,8 @@ int main() {
   out.record("verify/cached", single[1]);
 
   Rng batch_rng("e5-batch-rlc");
+  Rng mul_rng("e5-field-mul");
+  const Fp mul_a = Fp::random(mul_rng), mul_b = Fp::random(mul_rng);
   const auto batched = bench::alternating_ns(
       {[&] {
          bool ok = true;
@@ -133,13 +145,17 @@ int main() {
            ok = ok && verifier.verify(msgs[j], sigs[j]);
          sink = ok;
        },
-       [&] { sink = verifier.batch_verify(msgs, sigs, batch_rng); }},
+       [&] { sink = verifier.batch_verify(msgs, sigs, batch_rng); },
+       [&] { sink = mul_chain(mul_a, mul_b).is_zero(); }},
       kRounds, 2, 150.0);
   const double individual_ns = batched[0], batch_ns = batched[1];
+  const double mul_ns = batched[2] / kMulChain;
   out.record("verify/individual_x64", individual_ns);
   out.record("verify/batch_x64", batch_ns);
+  out.record("field/mul", mul_ns);
   printf("\nbatch_verify(64) speedup over 64 individual verifies: %.2fx\n",
          individual_ns / batch_ns);
+  printf("batch_verify(64) in field/mul units: %.0f\n", batch_ns / mul_ns);
 
   out.flush();
   return 0;

@@ -1,6 +1,8 @@
 // E8 — substrate microbenchmarks: the BN254 operations underneath every
 // scheme-level number (field tower, curve arithmetic, hashing, pairing).
-#include <benchmark/benchmark.h>
+// The tower rows time dependent chains (each result feeds the next call),
+// and every run is written to BENCH_e8.json.
+#include "gbench_json.hpp"
 
 #include "common/rng.hpp"
 #include "curve/hash_to_curve.hpp"
@@ -35,11 +37,39 @@ void BM_Fp2Mul(benchmark::State& st) {
   Fp2 a = Fp2::random(rng()), b = Fp2::random(rng());
   for (auto _ : st) benchmark::DoNotOptimize(a = a * b);
 }
+void BM_Fp2Square(benchmark::State& st) {
+  Fp2 a = Fp2::random(rng());
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.squared());
+}
+Fp6 random_fp6() {
+  return {Fp2::random(rng()), Fp2::random(rng()), Fp2::random(rng())};
+}
+Fp12 random_fp12() { return {random_fp6(), random_fp6()}; }
+void BM_Fp6Mul(benchmark::State& st) {
+  Fp6 a = random_fp6(), b = random_fp6();
+  for (auto _ : st) benchmark::DoNotOptimize(a = a * b);
+}
 void BM_Fp12Mul(benchmark::State& st) {
-  Fp12 a{Fp6{Fp2::random(rng()), Fp2::random(rng()), Fp2::random(rng())},
-         Fp6{Fp2::random(rng()), Fp2::random(rng()), Fp2::random(rng())}};
+  Fp12 a = random_fp12();
   Fp12 b = a;
   for (auto _ : st) benchmark::DoNotOptimize(a = a * b);
+}
+void BM_Fp12Square(benchmark::State& st) {
+  Fp12 a = random_fp12();
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.squared());
+}
+void BM_Fp12MulBy34(benchmark::State& st) {
+  // One Miller line per call, as the prepared loop folds them.
+  Fp12 a = random_fp12();
+  const Fp2 d3 = Fp2::random(rng()), d4 = Fp2::random(rng());
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.mul_by_34(d3, d4));
+}
+void BM_Fp12CyclotomicSquare(benchmark::State& st) {
+  // A pairing value lies in the cyclotomic subgroup, and so do its squares.
+  Fp12 a = pairing(G1::generator().mul(Fr::random(rng())).to_affine(),
+                   G2Curve::generator_affine())
+               .value;
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.cyclotomic_squared());
 }
 void BM_G1ScalarMul(benchmark::State& st) {
   G1 g = G1::generator();
@@ -98,7 +128,12 @@ BENCHMARK(BM_FpMul);
 BENCHMARK(BM_FpInverse);
 BENCHMARK(BM_FpSqrt);
 BENCHMARK(BM_Fp2Mul);
+BENCHMARK(BM_Fp2Square);
+BENCHMARK(BM_Fp6Mul);
 BENCHMARK(BM_Fp12Mul);
+BENCHMARK(BM_Fp12Square);
+BENCHMARK(BM_Fp12MulBy34);
+BENCHMARK(BM_Fp12CyclotomicSquare);
 BENCHMARK(BM_FrInverse);
 BENCHMARK(BM_G1ScalarMul)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_G2ScalarMul)->Unit(benchmark::kMicrosecond);
@@ -109,4 +144,6 @@ BENCHMARK(BM_Pairing)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GtExp)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LagrangeCoefficients)->Arg(3)->Arg(9)->Arg(17);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return bnr::bench::run_benchmarks_to_json(argc, argv, "BENCH_e8.json");
+}

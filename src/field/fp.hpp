@@ -8,8 +8,10 @@
 //
 // The Montgomery multiply has two kernels: a portable carry chain, and on
 // x86-64 a mulx/adcx/adox one in GNU extended asm (GCC and Clang), taken
-// where cpuid reports bmi2 and adx. This file holds the tree's only inline
-// asm (bnr_lint rule BNR-L008).
+// where cpuid reports bmi2 and adx. So do the double-width product and the
+// separate Montgomery reduction that the tower (tower.hpp) builds its lazy
+// reduction on. This file holds the tree's only inline asm (bnr_lint rule
+// BNR-L008).
 #pragma once
 
 #include <array>
@@ -178,6 +180,123 @@ class Mont {
     return r;
   }
 #endif
+
+  // Double-width arithmetic, for the tower's lazy reduction: products of
+  // Montgomery words stay 512 bits wide through their sums and differences,
+  // and one reduction per output coefficient ends them. With p < 2^254, a
+  // product of two words below 2p is below 4p^2 < p 2^256, the bound redc
+  // takes, so an unreduced sum of two elements may feed mul_wide.
+  static_assert((kMod.w[3] >> 62) == 0, "the wide kernels need p < 2^254");
+
+  /// A double-width value below p 2^256, little-endian limbs: a product of
+  /// two words, or a sum or difference of such products modulo p 2^256.
+  /// redc maps t to the element whose word is t / 2^256 mod p.
+  struct Wide {
+    std::array<uint64_t, 8> w{};
+    bool operator==(const Wide&) const = default;
+  };
+
+  /// The Montgomery word (below p): what mul_wide multiplies.
+  const U256& word() const { return v_; }
+  /// a + b unreduced: a word below 2p, which cannot carry (p < 2^255).
+  static U256 add_lazy(const Mont& a, const Mont& b) {
+    U256 s;
+    U256::add(a.v_, b.v_, s);
+    return s;
+  }
+  /// a - b + p unreduced: a word in (0, 2p), congruent to a - b.
+  static U256 sub_lazy(const Mont& a, const Mont& b) {
+    U256 s;
+    U256::add(a.v_, kMod, s);
+    U256::sub(s, b.v_, s);
+    return s;
+  }
+
+  /// The full product a * b of two words below 2p, by the kernel selected
+  /// for this CPU (as mul_redc chooses); both give the same limbs.
+  [[gnu::always_inline]] static Wide mul_wide(const U256& a, const U256& b) {
+#if BNR_MONT_MULX
+    if (detail::mont_use_mulx) return mul_wide_mulx(a, b);
+#endif
+    return mul_wide_portable(a, b);
+  }
+  /// The canonical element t / 2^256 mod p for t < p 2^256, by the kernel
+  /// selected for this CPU.
+  [[gnu::always_inline]] static Mont redc(const Wide& t) {
+#if BNR_MONT_MULX
+    if (detail::mont_use_mulx) return redc_mulx(t);
+#endif
+    return redc_portable(t);
+  }
+
+  /// (a + b) mod p 2^256 for a, b < p 2^256. The sum is below
+  /// 2p 2^256 < 2^511, so it cannot carry out, and it reaches p 2^256
+  /// exactly when its high half reaches p, since the low half of p 2^256 is
+  /// zero: p comes off the high half, masked by that subtraction's borrow.
+  static Wide add_wide(const Wide& a, const Wide& b) {
+    Wide s;
+    Carry c = 0;
+    for (int i = 0; i < 8; ++i) c = addc(c, a.w[i], b.w[i], s.w[i]);
+    const U256 hi{{s.w[4], s.w[5], s.w[6], s.w[7]}};
+    U256 d;
+    const uint64_t borrow = U256::sub(hi, kMod, d);
+    const U256 r = select(0 - borrow, hi, d);
+    for (int i = 0; i < 4; ++i) s.w[4 + i] = r.w[i];
+    return s;
+  }
+  /// (a - b) mod p 2^256 for a, b < p 2^256. A borrow out leaves
+  /// a - b + 2^512; adding p to the high half, masked by the borrow, makes
+  /// it a - b + p 2^256 once the carry out of the top limb drops.
+  static Wide sub_wide(const Wide& a, const Wide& b) {
+    Wide d;
+    Carry c = 0;
+    for (int i = 0; i < 8; ++i) c = subb(c, a.w[i], b.w[i], d.w[i]);
+    const uint64_t mask = 0 - uint64_t(c);
+    Carry k = 0;
+    for (int i = 0; i < 4; ++i)
+      k = addc(k, d.w[4 + i], kMod.w[i] & mask, d.w[4 + i]);
+    return d;
+  }
+  /// a - b with no correction, for a >= b: the caller writes the bound.
+  static Wide sub_wide_plain(const Wide& a, const Wide& b) {
+    Wide d;
+    Carry c = 0;
+    for (int i = 0; i < 8; ++i) c = subb(c, a.w[i], b.w[i], d.w[i]);
+    return d;
+  }
+
+  /// The double-width kernels by name, for the tests that compare them.
+  /// Schoolbook rows on mul_add_row: row i adds a_i * b to the window and
+  /// retires its low limb. A window holds the running sum shifted down by
+  /// the retired limbs, below 2^256 before a row, and a row adds
+  /// a_i * b < 2^320 - 2^256, so five limbs hold it and no row carries out.
+  static Wide mul_wide_portable(const U256& a, const U256& b) {
+    Wide r;
+    uint64_t t[5] = {0, 0, 0, 0, 0};
+    for (int i = 0; i < 4; ++i) {
+      mul_add_row(t, a.w[i], b);
+      r.w[i] = t[0];
+      for (int j = 0; j < 4; ++j) t[j] = t[j + 1];
+      t[4] = 0;
+    }
+    for (int j = 0; j < 4; ++j) r.w[4 + j] = t[j];
+    return r;
+  }
+  /// Four m * p rows over the low half L of t, as in mul_redc_portable:
+  /// each clears the window's low limb and retires it. The window stays
+  /// below 2^256 before a row (L < 2^256, then (2^256 + 2^64 p) / 2^64 <
+  /// 2^256), so no row carries out, and the rows leave
+  /// u = (L + M p) / 2^256 < (2^256 + 2^256 p) / 2^256, so u <= p, for the
+  /// M < 2^256 they add. redc_finish adds the high half.
+  static Mont redc_portable(const Wide& t) {
+    uint64_t w[5] = {t.w[0], t.w[1], t.w[2], t.w[3], 0};
+    for (int i = 0; i < 4; ++i) {
+      mul_add_row(w, w[0] * kInv, kMod);  // w[0] is now zero
+      for (int j = 0; j < 4; ++j) w[j] = w[j + 1];
+      w[4] = 0;
+    }
+    return redc_finish(U256{{w[0], w[1], w[2], w[3]}}, t);
+  }
 
   /// Multiplicative inverse via binary extended GCD. Throws on zero.
   Mont inverse() const {
@@ -356,39 +475,44 @@ class Mont {
   // high halves, one limb up, on the adcx (CF) chain. The xor before each
   // row clears CF and OF, which the bound below says are clear already (and
   // imul is not flag-free), so a row need not wait for the last flags of the
-  // row before it.
-#define BNR_MULX_ROUND(i, W0, W1, W2, W3, W4) \
-  "xorl %k[lo], %k[lo]\n\t"                   \
-  "movq 8*" #i "(%[a]), %%rdx\n\t"            \
-  "mulxq (%[b]), %[lo], %[hi]\n\t"            \
-  "adoxq %[lo], %[" #W0 "]\n\t"               \
-  "adcxq %[hi], %[" #W1 "]\n\t"               \
-  "mulxq 8(%[b]), %[lo], %[hi]\n\t"           \
-  "adoxq %[lo], %[" #W1 "]\n\t"               \
-  "adcxq %[hi], %[" #W2 "]\n\t"               \
-  "mulxq 16(%[b]), %[lo], %[hi]\n\t"          \
-  "adoxq %[lo], %[" #W2 "]\n\t"               \
-  "adcxq %[hi], %[" #W3 "]\n\t"               \
-  "mulxq 24(%[b]), %[lo], %[hi]\n\t"          \
-  "adoxq %[lo], %[" #W3 "]\n\t"               \
-  "adcxq %[" #W4 "], %[hi]\n\t"               \
-  "adoxq %[hi], %[" #W4 "]\n\t"               \
-  "movabsq %[inv], %%rdx\n\t"                 \
-  "imulq %[" #W0 "], %%rdx\n\t"               \
-  "xorl %k[lo], %k[lo]\n\t"                   \
-  "mulxq (%[p]), %[lo], %[hi]\n\t"            \
-  "adoxq %[lo], %[" #W0 "]\n\t"               \
-  "adcxq %[hi], %[" #W1 "]\n\t"               \
-  "mulxq 8(%[p]), %[lo], %[hi]\n\t"           \
-  "adoxq %[lo], %[" #W1 "]\n\t"               \
-  "adcxq %[hi], %[" #W2 "]\n\t"               \
-  "mulxq 16(%[p]), %[lo], %[hi]\n\t"          \
-  "adoxq %[lo], %[" #W2 "]\n\t"               \
-  "adcxq %[hi], %[" #W3 "]\n\t"               \
-  "mulxq 24(%[p]), %[lo], %[hi]\n\t"          \
-  "adoxq %[lo], %[" #W3 "]\n\t"               \
-  "adcxq %[hi], %[" #W4 "]\n\t"               \
+  // row before it. mul_wide_mulx runs the first row alone, and redc_mulx
+  // the second.
+#define BNR_MULX_ROW_AB(i, W0, W1, W2, W3, W4) \
+  "xorl %k[lo], %k[lo]\n\t"                    \
+  "movq 8*" #i "(%[a]), %%rdx\n\t"             \
+  "mulxq (%[b]), %[lo], %[hi]\n\t"             \
+  "adoxq %[lo], %[" #W0 "]\n\t"                \
+  "adcxq %[hi], %[" #W1 "]\n\t"                \
+  "mulxq 8(%[b]), %[lo], %[hi]\n\t"            \
+  "adoxq %[lo], %[" #W1 "]\n\t"                \
+  "adcxq %[hi], %[" #W2 "]\n\t"                \
+  "mulxq 16(%[b]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[" #W2 "]\n\t"                \
+  "adcxq %[hi], %[" #W3 "]\n\t"                \
+  "mulxq 24(%[b]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[" #W3 "]\n\t"                \
+  "adcxq %[" #W4 "], %[hi]\n\t"                \
+  "adoxq %[hi], %[" #W4 "]\n\t"
+#define BNR_MULX_ROW_MP(W0, W1, W2, W3, W4) \
+  "movabsq %[inv], %%rdx\n\t"                \
+  "imulq %[" #W0 "], %%rdx\n\t"              \
+  "xorl %k[lo], %k[lo]\n\t"                  \
+  "mulxq (%[p]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[" #W0 "]\n\t"              \
+  "adcxq %[hi], %[" #W1 "]\n\t"              \
+  "mulxq 8(%[p]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[" #W1 "]\n\t"              \
+  "adcxq %[hi], %[" #W2 "]\n\t"              \
+  "mulxq 16(%[p]), %[lo], %[hi]\n\t"         \
+  "adoxq %[lo], %[" #W2 "]\n\t"              \
+  "adcxq %[hi], %[" #W3 "]\n\t"              \
+  "mulxq 24(%[p]), %[lo], %[hi]\n\t"         \
+  "adoxq %[lo], %[" #W3 "]\n\t"              \
+  "adcxq %[hi], %[" #W4 "]\n\t"              \
   "adoxq %[" #W0 "], %[" #W4 "]\n\t"
+#define BNR_MULX_ROUND(i, W0, W1, W2, W3, W4) \
+  BNR_MULX_ROW_AB(i, W0, W1, W2, W3, W4)      \
+  BNR_MULX_ROW_MP(W0, W1, W2, W3, W4)
 
   /// mul_redc_portable's CIOS with mulx, adcx and adox (bmi2 and adx).
   /// mulx multiplies by rdx without touching the flags, and adcx and adox
@@ -438,8 +562,79 @@ class Mont {
     const uint64_t borrow = U256::sub(r, kMod, d);
     return select(0 - borrow, r, d);
   }
+
+ public:
+  /// mul_wide_portable with mulx, adcx and adox: the a_i * b rows of
+  /// mul_redc_mulx alone (requires bmi2 and adx). Each row starts from a
+  /// window below 2^256 whose top limb is zero and adds a_i * b <
+  /// 2^320 - 2^256, so neither chain carries out, as in mul_redc_mulx. The
+  /// low limb a row completes is stored and zeroed, and becomes the next
+  /// row's top limb; after the last row the window is the high half.
+  [[gnu::always_inline]] static Wide mul_wide_mulx(const U256& a,
+                                                   const U256& b) {
+    Wide r;
+    uint64_t t0, t1, t2, t3, t4, lo, hi;
+    asm("xorl %k[t0], %k[t0]\n\t"
+        "xorl %k[t1], %k[t1]\n\t"
+        "xorl %k[t2], %k[t2]\n\t"
+        "xorl %k[t3], %k[t3]\n\t"
+        "xorl %k[t4], %k[t4]\n\t"
+        BNR_MULX_ROW_AB(0, t0, t1, t2, t3, t4)
+        "movq %[t0], (%[r])\n\t"
+        "xorl %k[t0], %k[t0]\n\t"
+        BNR_MULX_ROW_AB(1, t1, t2, t3, t4, t0)
+        "movq %[t1], 8(%[r])\n\t"
+        "xorl %k[t1], %k[t1]\n\t"
+        BNR_MULX_ROW_AB(2, t2, t3, t4, t0, t1)
+        "movq %[t2], 16(%[r])\n\t"
+        "xorl %k[t2], %k[t2]\n\t"
+        BNR_MULX_ROW_AB(3, t3, t4, t0, t1, t2)
+        "movq %[t3], 24(%[r])\n\t"
+        : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3),
+          [t4] "=&r"(t4), [lo] "=&r"(lo), [hi] "=&r"(hi), "=m"(r)
+        : [a] "r"(a.w.data()), [b] "r"(b.w.data()), [r] "r"(r.w.data()),
+          "m"(a), "m"(b)
+        : "rdx", "cc");
+    r.w[4] = t4;
+    r.w[5] = t0;
+    r.w[6] = t1;
+    r.w[7] = t2;
+    return r;
+  }
+  /// redc_portable with mulx, adcx and adox: the four m * p rows of
+  /// mul_redc_mulx alone over the low half (requires bmi2 and adx), on the
+  /// same rotating window and within redc_portable's bound.
+  [[gnu::always_inline]] static Mont redc_mulx(const Wide& t) {
+    uint64_t t0 = t.w[0], t1 = t.w[1], t2 = t.w[2], t3 = t.w[3], t4, lo, hi;
+    asm("xorl %k[t4], %k[t4]\n\t"
+        BNR_MULX_ROW_MP(t0, t1, t2, t3, t4)
+        BNR_MULX_ROW_MP(t1, t2, t3, t4, t0)
+        BNR_MULX_ROW_MP(t2, t3, t4, t0, t1)
+        BNR_MULX_ROW_MP(t3, t4, t0, t1, t2)
+        : [t0] "+r"(t0), [t1] "+r"(t1), [t2] "+r"(t2), [t3] "+r"(t3),
+          [t4] "=&r"(t4), [lo] "=&r"(lo), [hi] "=&r"(hi)
+        : [p] "r"(kMod.w.data()), [inv] "i"(kInv)
+        : "rdx", "cc");
+    return redc_finish(U256{{t4, t0, t1, t2}}, t);
+  }
+
+ private:
 #undef BNR_MULX_ROUND
+#undef BNR_MULX_ROW_MP
+#undef BNR_MULX_ROW_AB
 #endif
+
+  /// Ends a reduction: u <= p from the m * p rows, plus the high half of
+  /// t (below p, as t < p 2^256), is below 2p < 2^255; one masked
+  /// subtraction makes it canonical.
+  static Mont redc_finish(U256 u, const Wide& t) {
+    U256::add(u, U256{{t.w[4], t.w[5], t.w[6], t.w[7]}}, u);
+    U256 d;
+    const uint64_t borrow = U256::sub(u, kMod, d);
+    Mont m;
+    m.v_ = select(0 - borrow, u, d);
+    return m;
+  }
 
   static U256 half_mod(const U256& x) {
     // x/2 mod p for odd p: if x even then x>>1 else (x+p)>>1.

@@ -79,6 +79,31 @@ const FrobeniusConstants& frobenius_constants() {
   return consts;
 }
 
+Fp6 Fp6::operator*(const Fp6& o) const {
+  // Karatsuba over v^3 = xi: 18 double-width products, then the sums,
+  // differences and xi modulo p 2^256, and 6 reductions.
+  const Fp2Wide v0 = Fp2::mul_wide(c0, o.c0);
+  const Fp2Wide v1 = Fp2::mul_wide(c1, o.c1);
+  const Fp2Wide v2 = Fp2::mul_wide(c2, o.c2);
+  const Fp2Wide t0 =
+      (Fp2::mul_wide(c1 + c2, o.c1 + o.c2) - v1 - v2).mul_by_xi() + v0;
+  const Fp2Wide t1 =
+      Fp2::mul_wide(c0 + c1, o.c0 + o.c1) - v0 - v1 + v2.mul_by_xi();
+  const Fp2Wide t2 = Fp2::mul_wide(c0 + c2, o.c0 + o.c2) - v0 - v2 + v1;
+  return {Fp2::reduce(t0), Fp2::reduce(t1), Fp2::reduce(t2)};
+}
+
+Fp6 Fp6::mul_by_01(const Fp2& b0, const Fp2& b1) const {
+  // 15 double-width products and 6 reductions. Only the middle term needs
+  // Karatsuba: a2b1 and a2b0 are products of their own.
+  const Fp2Wide v0 = Fp2::mul_wide(c0, b0);
+  const Fp2Wide v1 = Fp2::mul_wide(c1, b1);
+  const Fp2Wide t0 = Fp2::mul_wide(c2, b1).mul_by_xi() + v0;  // a0b0 + xi a2b1
+  const Fp2Wide t1 = Fp2::mul_wide(c0 + c1, b0 + b1) - v0 - v1;  // a0b1 + a1b0
+  const Fp2Wide t2 = Fp2::mul_wide(c2, b0) + v1;                 // a2b0 + a1b1
+  return {Fp2::reduce(t0), Fp2::reduce(t1), Fp2::reduce(t2)};
+}
+
 // Coefficient view: an Fp12 element (c0 + c1 w) with c0 = (h0, h1, h2),
 // c1 = (k0, k1, k2) over Fp2 has w-expansion
 //   h0 + k0 w + h1 w^2 + k1 w^3 + h2 w^4 + k2 w^5.
@@ -114,19 +139,22 @@ Fp12 Fp12::cyclotomic_squared() const {
   const Fp2& x4 = c1.c1;
   const Fp2& x5 = c1.c2;
 
-  Fp2 t0 = x4.squared();
-  Fp2 t1 = x0.squared();
-  Fp2 t6 = (x4 + x0).squared() - t0 - t1;  // 2 x4 x0
-  Fp2 t2 = x2.squared();
-  Fp2 t3 = x3.squared();
-  Fp2 t7 = (x2 + x3).squared() - t2 - t3;  // 2 x2 x3
-  Fp2 t4 = x5.squared();
-  Fp2 t5 = x1.squared();
-  Fp2 t8 = ((x5 + x1).squared() - t4 - t5).mul_by_xi();  // 2 x5 x1 xi
-
-  t0 = t0.mul_by_xi() + t1;  // x4^2 xi + x0^2
-  t2 = t2.mul_by_xi() + t3;  // x2^2 xi + x3^2
-  t4 = t4.mul_by_xi() + t5;  // x5^2 xi + x1^2
+  // The nine Fp2 squarings stay double-width (18 products), t0..t8 are
+  // formed modulo p 2^256, and the six that the output reads are reduced
+  // once each (12 reductions).
+  const Fp2Wide s0 = x4.squared_wide();
+  const Fp2Wide s1 = x0.squared_wide();
+  const Fp2Wide s2 = x2.squared_wide();
+  const Fp2Wide s3 = x3.squared_wide();
+  const Fp2Wide s4 = x5.squared_wide();
+  const Fp2Wide s5 = x1.squared_wide();
+  const Fp2 t6 = Fp2::reduce((x4 + x0).squared_wide() - s0 - s1);  // 2 x4 x0
+  const Fp2 t7 = Fp2::reduce((x2 + x3).squared_wide() - s2 - s3);  // 2 x2 x3
+  const Fp2 t8 = Fp2::reduce(
+      ((x5 + x1).squared_wide() - s4 - s5).mul_by_xi());  // 2 x5 x1 xi
+  const Fp2 t0 = Fp2::reduce(s0.mul_by_xi() + s1);  // x4^2 xi + x0^2
+  const Fp2 t2 = Fp2::reduce(s2.mul_by_xi() + s3);  // x2^2 xi + x3^2
+  const Fp2 t4 = Fp2::reduce(s4.mul_by_xi() + s5);  // x5^2 xi + x1^2
 
   Fp12 z;
   z.c0.c0 = (t0 - x0).doubled() + t0;

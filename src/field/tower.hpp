@@ -4,6 +4,14 @@
 //   Fp12 = Fp6[w]/(w^2 - v)
 // Frobenius coefficients are derived at runtime from xi (see tower.cpp), so
 // no tower constant beyond xi itself is transcribed from the literature.
+//
+// Products are lazily reduced (Aranha, Karabina, Longa, Gebotys and Lopez,
+// EUROCRYPT 2011): an Fp2 product stays double-width (Fp2Wide), the Fp6
+// Karatsuba terms and xi are formed on those, and each output coefficient
+// pays one Montgomery reduction. An Fp2 multiply is 3 double-width products
+// and 2 reductions, an Fp6 multiply 18 and 6, mul_by_01 15 and 6, and a
+// cyclotomic squaring 18 and 12. Every element stays canonical, so the
+// results are the bytes a reduction per product gives.
 #pragma once
 
 #include <optional>
@@ -14,6 +22,33 @@ namespace bnr {
 
 // ---------------------------------------------------------------------------
 // Fp2
+
+/// An Fp2 value with double-width coefficients, each below p 2^256: an Fp2
+/// product before its reduction. Sums, differences and xi are taken modulo
+/// p 2^256, so the bound holds through any chain of them, and
+/// Fp2::reduce ends the chain.
+struct Fp2Wide {
+  Fp::Wide c0, c1;  // c0 + c1*u
+
+  Fp2Wide operator+(const Fp2Wide& o) const {
+    return {Fp::add_wide(c0, o.c0), Fp::add_wide(c1, o.c1)};
+  }
+  Fp2Wide operator-(const Fp2Wide& o) const {
+    return {Fp::sub_wide(c0, o.c0), Fp::sub_wide(c1, o.c1)};
+  }
+  /// Multiplication by xi = 9 + u: (9a - b) + (a + 9b)u, as Fp2::mul_by_xi.
+  Fp2Wide mul_by_xi() const {
+    return {Fp::sub_wide(scale9(c0), c1), Fp::add_wide(c0, scale9(c1))};
+  }
+
+ private:
+  static Fp::Wide scale9(const Fp::Wide& a) {
+    Fp::Wide t8 = Fp::add_wide(a, a);
+    t8 = Fp::add_wide(t8, t8);
+    t8 = Fp::add_wide(t8, t8);
+    return Fp::add_wide(t8, a);
+  }
+};
 
 struct Fp2 {
   Fp c0, c1;  // c0 + c1*u
@@ -33,12 +68,31 @@ struct Fp2 {
   Fp2 operator-(const Fp2& o) const { return {c0 - o.c0, c1 - o.c1}; }
   Fp2 operator-() const { return {-c0, -c1}; }
 
-  Fp2 operator*(const Fp2& o) const {
-    // Karatsuba: (a0 + a1 u)(b0 + b1 u) = a0b0 - a1b1 + ((a0+a1)(b0+b1) - a0b0 - a1b1) u
-    Fp t0 = c0 * o.c0;
-    Fp t1 = c1 * o.c1;
-    Fp mid = (c0 + c1) * (o.c0 + o.c1);
-    return {t0 - t1, mid - t0 - t1};
+  Fp2 operator*(const Fp2& o) const { return reduce(mul_wide(*this, o)); }
+  /// The product before its reduction: 3 double-width products.
+  static Fp2Wide mul_wide(const Fp2& a, const Fp2& b) {
+    // Karatsuba on Montgomery words: (a0 + a1 u)(b0 + b1 u) =
+    // a0b0 - a1b1 + ((a0+a1)(b0+b1) - a0b0 - a1b1) u. The sums stay
+    // unreduced, below 2p, so their product is below 4p^2.
+    const Fp::Wide t0 = Fp::mul_wide(a.c0.word(), b.c0.word());
+    const Fp::Wide t1 = Fp::mul_wide(a.c1.word(), b.c1.word());
+    const Fp::Wide mid = Fp::mul_wide(Fp::add_lazy(a.c0, a.c1),
+                                      Fp::add_lazy(b.c0, b.c1));
+    // mid - t0 - t1 = a0b1 + a1b0 lies in [0, 2p^2): neither step wraps.
+    return {Fp::sub_wide(t0, t1),
+            Fp::sub_wide_plain(Fp::sub_wide_plain(mid, t0), t1)};
+  }
+  /// The square before its reduction: 2 double-width products.
+  Fp2Wide squared_wide() const {
+    // (a + bu)^2 = (a + b)(a - b) + 2ab u over the words a + b,
+    // a - b + p and 2a, each below 2p. (a + b)(a - b + p) is congruent to
+    // (a + b)(a - b) and below 4p^2.
+    return {Fp::mul_wide(Fp::add_lazy(c0, c1), Fp::sub_lazy(c0, c1)),
+            Fp::mul_wide(Fp::add_lazy(c0, c0), c1.word())};
+  }
+  /// One Montgomery reduction per coefficient.
+  static Fp2 reduce(const Fp2Wide& t) {
+    return {Fp::redc(t.c0), Fp::redc(t.c1)};
   }
   Fp2 squared() const {
     // (a+bu)^2 = (a+b)(a-b) + 2ab u
@@ -101,27 +155,13 @@ struct Fp6 {
   }
   Fp6 operator-() const { return {-c0, -c1, -c2}; }
 
-  Fp6 operator*(const Fp6& o) const {
-    // Toom-style interpolation, 6 Fp2 multiplications.
-    Fp2 v0 = c0 * o.c0;
-    Fp2 v1 = c1 * o.c1;
-    Fp2 v2 = c2 * o.c2;
-    Fp2 t0 = ((c1 + c2) * (o.c1 + o.c2) - v1 - v2).mul_by_xi() + v0;
-    Fp2 t1 = (c0 + c1) * (o.c0 + o.c1) - v0 - v1 + v2.mul_by_xi();
-    Fp2 t2 = (c0 + c2) * (o.c0 + o.c2) - v0 - v2 + v1;
-    return {t0, t1, t2};
-  }
+  /// Karatsuba over 6 Fp2 products, kept double-width (tower.cpp).
+  Fp6 operator*(const Fp6& o) const;
   Fp6 squared() const { return *this * *this; }
 
-  /// Sparse multiplication by b0 + b1*v (b2 = 0): 5 Fp2 muls instead of 6.
-  Fp6 mul_by_01(const Fp2& b0, const Fp2& b1) const {
-    Fp2 v0 = c0 * b0;
-    Fp2 v1 = c1 * b1;
-    Fp2 t0 = ((c1 + c2) * b1 - v1).mul_by_xi() + v0;  // a0b0 + xi*a2b1
-    Fp2 t1 = (c0 + c1) * (b0 + b1) - v0 - v1;         // a0b1 + a1b0
-    Fp2 t2 = (c0 + c2) * b0 - v0 + v1;                // a2b0 + a1b1
-    return {t0, t1, t2};
-  }
+  /// Sparse multiplication by b0 + b1*v (b2 = 0): 5 Fp2 products
+  /// instead of 6 (tower.cpp).
+  Fp6 mul_by_01(const Fp2& b0, const Fp2& b1) const;
 
   /// Multiplication by v (the Fp12 quadratic non-residue).
   Fp6 mul_by_v() const { return {c2.mul_by_xi(), c0, c1}; }

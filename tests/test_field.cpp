@@ -175,6 +175,152 @@ TEST(Fp, MulxKernelSelectedIffCpuHasBmi2AndAdx) {
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// The double-width kernels against BigUint, each by name: mul_wide over
+// words up to 2p - 1 (an element, or an unreduced sum of two), redc over
+// inputs up to p 2^256 - 1, and add/sub modulo p 2^256 at their wrap edges.
+// A seeded sweep then compares the two kernels word for word. Every CI
+// runner has bmi2 and adx, so there the tower never runs over the portable
+// kernels; their equality with the mulx ones over these domains stands in
+// for that coverage.
+
+using Wide = Fp::Wide;
+using MulWideKernel = Wide (*)(const U256&, const U256&);
+using RedcKernel = Fp (*)(const Wide&);
+
+BigUint big_of(const Wide& t) {
+  return (BigUint(U256{{t.w[4], t.w[5], t.w[6], t.w[7]}}) << 256) +
+         BigUint(U256{{t.w[0], t.w[1], t.w[2], t.w[3]}});
+}
+
+Wide wide_of(const BigUint& v) {
+  const U256 lo = (v % (BigUint(1) << 256)).to_u256();
+  const U256 hi = (v >> 256).to_u256();
+  return Wide{{lo.w[0], lo.w[1], lo.w[2], lo.w[3], hi.w[0], hi.w[1], hi.w[2],
+               hi.w[3]}};
+}
+
+/// mul_wide operands: kernel_values as words, each also plus p, which
+/// reaches p, 2p - 2 and 2p - 1.
+std::vector<BigUint> wide_operands() {
+  const BigUint p(FpTag::kModulus);
+  std::vector<BigUint> ops;
+  for (const BigUint& v : kernel_values<Fp>("fp-wide-operands")) {
+    ops.push_back(v);
+    ops.push_back(v + p);
+  }
+  return ops;
+}
+
+/// redc inputs: every product of two operands, the top of the range, and
+/// low halves k p (k = 1..5, the multiples below 2^256), which drive the
+/// m * p rows to u = p exactly, under high halves 0, 1 and p - 1.
+std::vector<BigUint> redc_inputs(const std::vector<BigUint>& ops, Rng& rng) {
+  const BigUint p(FpTag::kModulus), r = BigUint(1) << 256, one(1);
+  std::vector<BigUint> in;
+  for (const BigUint& a : ops)
+    for (const BigUint& b : ops) in.push_back(a * b);
+  for (const BigUint& high : {BigUint(0), one, p - one}) {
+    in.push_back(high * r);
+    in.push_back(high * r + r - one);
+    for (uint64_t k = 1; k <= 5; ++k) in.push_back(high * r + BigUint(k) * p);
+  }
+  in.push_back(p * r - one);
+  for (int i = 0; i < 16; ++i) in.push_back(BigUint::random_below(rng, p * r));
+  return in;
+}
+
+void check_wide_kernels(MulWideKernel mul_wide, RedcKernel redc) {
+  const BigUint p(FpTag::kModulus), r = BigUint(1) << 256;
+  const BigUint r_inv = BigUint::mod_inverse(r % p, p);
+  const BigUint p_inv = BigUint::mod_inverse(p, r);
+  const std::vector<BigUint> ops = wide_operands();
+  for (const BigUint& a : ops)
+    for (const BigUint& b : ops)
+      ASSERT_EQ(big_of(mul_wide(a.to_u256(), b.to_u256())), a * b)
+          << a.to_hex() << " * " << b.to_hex();
+
+  Rng rng("fp-wide-redc");
+  size_t u_is_p = 0, subtracted = 0;
+  for (const BigUint& t : redc_inputs(ops, rng)) {
+    const U256 got = redc(wide_of(t)).word();
+    ASSERT_EQ(BigUint(got), BigUint::mod_mul(t % p, r_inv, p)) << t.to_hex();
+    // Coverage of the bound's edges: the rows' u = (L + M p) / 2^256 with
+    // M = -L / p mod 2^256 reaching p, and u plus the high half reaching p.
+    const BigUint low = t % r;
+    const BigUint m = (r - BigUint::mod_mul(low, p_inv, r)) % r;
+    const BigUint u = (low + m * p) >> 256;
+    if (u == p) ++u_is_p;
+    if (!(u + (t >> 256) < p)) ++subtracted;
+  }
+  EXPECT_GT(u_is_p, 0u);
+  EXPECT_GT(subtracted, 0u);
+}
+
+TEST(Fp, WideKernelsMatchBigUint) {
+  check_wide_kernels(&Fp::mul_wide_portable, &Fp::redc_portable);
+}
+
+TEST(Fp, MulxWideKernelsMatchBigUintAndPortable) {
+#if BNR_MONT_MULX
+  if (!cpu_has_bmi2_adx()) GTEST_SKIP() << "this CPU lacks bmi2 or adx";
+  check_wide_kernels(&Fp::mul_wide_mulx, &Fp::redc_mulx);
+  // Random words below 2p (255 random bits, rejected at 2p), and random
+  // inputs below p 2^256 (a word below p over 256 random bits).
+  const U256 two_p = (BigUint(FpTag::kModulus) * BigUint(2)).to_u256();
+  Rng rng("fp-wide-sweep");
+  auto word = [&] {
+    for (;;) {
+      U256 v{{rng.next_u64(), rng.next_u64(), rng.next_u64(),
+              rng.next_u64() >> 1}};
+      if (v < two_p) return v;
+    }
+  };
+  for (int i = 0; i < 100000; ++i) {
+    const U256 a = word(), b = word();
+    const Wide prod = Fp::mul_wide_mulx(a, b);
+    ASSERT_EQ(prod, Fp::mul_wide_portable(a, b))
+        << "product " << i << ": " << a.to_hex() << " * " << b.to_hex();
+    const U256 hi = Fp::random(rng).word();
+    const Wide t{{rng.next_u64(), rng.next_u64(), rng.next_u64(),
+                  rng.next_u64(), hi.w[0], hi.w[1], hi.w[2], hi.w[3]}};
+    for (const Wide& x : {prod, t})
+      ASSERT_EQ(Fp::redc_mulx(x), Fp::redc_portable(x))
+          << "reduction " << i << ": " << big_of(x).to_hex();
+  }
+#else
+  GTEST_SKIP() << "no mulx kernel on this target";
+#endif
+}
+
+TEST(Fp, WideAddSubWrapModuloP2To256) {
+  const BigUint p(FpTag::kModulus), r = BigUint(1) << 256, one(1);
+  const BigUint top = p * r, half = top >> 1;  // p 2^255: half + half = top
+  Rng rng("fp-wide-addsub");
+  std::vector<BigUint> values = {BigUint(0), one,       BigUint(2), r - one,
+                                 r,          top - one, top - r,    half,
+                                 top - half, p * p};
+  for (int i = 0; i < 6; ++i) values.push_back(BigUint::random_below(rng, top));
+  size_t sums_to_top = 0, minus_one = 0;
+  for (const BigUint& a : values) {
+    for (const BigUint& b : values) {
+      const Wide wa = wide_of(a), wb = wide_of(b);
+      ASSERT_EQ(big_of(Fp::add_wide(wa, wb)), (a + b) % top)
+          << a.to_hex() << " + " << b.to_hex();
+      ASSERT_EQ(big_of(Fp::sub_wide(wa, wb)), (a + top - b) % top)
+          << a.to_hex() << " - " << b.to_hex();
+      if (!(a < b)) {
+        ASSERT_EQ(big_of(Fp::sub_wide_plain(wa, wb)), a - b)
+            << a.to_hex() << " - " << b.to_hex();
+      }
+      if (a + b == top) ++sums_to_top;
+      if (b == a + one) ++minus_one;
+    }
+  }
+  EXPECT_GT(sums_to_top, 0u);
+  EXPECT_GT(minus_one, 0u);
+}
+
 TEST(Fp, MontgomeryConstants) {
   // R = 2^256 mod p, computed two ways.
   BigUint p(FpTag::kModulus);
@@ -406,6 +552,97 @@ TEST(Fp12, ConjugateIsP6Frobenius) {
   for (int i = 0; i < 2; ++i) {
     Fp12 a = random_fp12(rng);
     EXPECT_EQ(a.conjugate(), a.pow(limbs_of(p6)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The tower's lazily reduced products against a schoolbook oracle built
+// from Fp's +, - and * alone (the tower's own + is coefficient-wise Fp +):
+// a reduction per base-field product, no Karatsuba, no double-width value.
+
+namespace oracle {
+
+Fp2 mul(const Fp2& a, const Fp2& b) {
+  return {a.c0 * b.c0 - a.c1 * b.c1, a.c0 * b.c1 + a.c1 * b.c0};
+}
+Fp2 mul_by_xi(const Fp2& a) {
+  const Fp nine = Fp::from_u64(9);
+  return {nine * a.c0 - a.c1, a.c0 + nine * a.c1};
+}
+Fp6 mul(const Fp6& a, const Fp6& b) {  // v^3 = xi
+  return {mul(a.c0, b.c0) + mul_by_xi(mul(a.c1, b.c2) + mul(a.c2, b.c1)),
+          mul(a.c0, b.c1) + mul(a.c1, b.c0) + mul_by_xi(mul(a.c2, b.c2)),
+          mul(a.c0, b.c2) + mul(a.c1, b.c1) + mul(a.c2, b.c0)};
+}
+Fp6 mul_by_v(const Fp6& a) { return {mul_by_xi(a.c2), a.c0, a.c1}; }
+Fp12 mul(const Fp12& a, const Fp12& b) {  // w^2 = v
+  return {mul(a.c0, b.c0) + mul_by_v(mul(a.c1, b.c1)),
+          mul(a.c0, b.c1) + mul(a.c1, b.c0)};
+}
+
+}  // namespace oracle
+
+/// Coefficients: kernel_values' set (0, 1, p - 1, the carry edges, the
+/// elements whose words are those edges, and seeded random values).
+class TowerOracle : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const BigUint& v : kernel_values<Fp>("tower-oracle"))
+      pool_.push_back(Fp::from_u256(v.to_u256()));
+  }
+  Fp coeff() { return pool_[rng_.uniform(pool_.size())]; }
+  Fp2 fp2() { return {coeff(), coeff()}; }
+  Fp6 fp6() { return {fp2(), fp2(), fp2()}; }
+  Fp12 fp12() { return {fp6(), fp6()}; }
+
+  std::vector<Fp> pool_;
+  Rng rng_{"tower-oracle-draws"};
+};
+
+TEST_F(TowerOracle, Fp2MulAndSquare) {
+  // Every ordered pair of Fp2 values with coefficients from the pool.
+  std::vector<Fp2> all;
+  for (const Fp& x : pool_)
+    for (const Fp& y : pool_) all.push_back({x, y});
+  for (const Fp2& a : all) {
+    ASSERT_EQ(a.squared(), oracle::mul(a, a)) << a.c0.to_u256().to_hex();
+    for (const Fp2& b : all)
+      ASSERT_EQ(a * b, oracle::mul(a, b))
+          << a.c0.to_u256().to_hex() << " " << a.c1.to_u256().to_hex() << " * "
+          << b.c0.to_u256().to_hex() << " " << b.c1.to_u256().to_hex();
+  }
+}
+
+TEST_F(TowerOracle, Fp6MulAndMulBy01) {
+  for (int i = 0; i < 3000; ++i) {
+    const Fp6 a = fp6(), b = fp6();
+    ASSERT_EQ(a * b, oracle::mul(a, b)) << i;
+    ASSERT_EQ(a.mul_by_01(b.c0, b.c1),
+              oracle::mul(a, Fp6{b.c0, b.c1, Fp2::zero()}))
+        << i;
+  }
+}
+
+TEST_F(TowerOracle, Fp12MulSquareAndMulBy34) {
+  for (int i = 0; i < 600; ++i) {
+    const Fp12 a = fp12(), b = fp12();
+    const Fp2 d3 = fp2(), d4 = fp2();
+    ASSERT_EQ(a * b, oracle::mul(a, b)) << i;
+    ASSERT_EQ(a.squared(), oracle::mul(a, a)) << i;
+    const Fp12 line{Fp6::one(), Fp6{d3, d4, Fp2::zero()}};
+    ASSERT_EQ(a.mul_by_34(d3, d4), oracle::mul(a, line)) << i;
+  }
+}
+
+TEST_F(TowerOracle, CyclotomicSquareOnEasyPartOutputs) {
+  // The easy part of the final exponentiation, f^((p^6 - 1)(p^2 + 1)),
+  // lands in the cyclotomic subgroup, where Granger-Scott applies.
+  for (int i = 0; i < 200; ++i) {
+    const Fp12 m = fp12();
+    if (m.is_zero()) continue;
+    Fp12 f = m.conjugate() * m.inverse();
+    f = f.frobenius2() * f;
+    ASSERT_EQ(f.cyclotomic_squared(), oracle::mul(f, f)) << i;
   }
 }
 

@@ -102,6 +102,68 @@ TEST(Pairing, AteLoopNafIsValid) {
     EXPECT_FALSE(naf[i] != 0 && naf[i + 1] != 0);
 }
 
+// GT values pinned byte for byte: the 12 canonical Fp coefficients in hex,
+// in the order c0.c0.c0, c0.c0.c1, c0.c1.c0, ..., c1.c2.c1. Every pairing
+// oracle here (the affine reference loop, the ladder and the generic final
+// exponentiation) runs on the same tower as the fast paths, so a tower
+// change that moved them all together would pass every cross-check; these
+// pins would not.
+std::vector<std::string> coefficients_hex(const Fp12& f) {
+  std::vector<std::string> out;
+  for (const Fp6* s : {&f.c0, &f.c1})
+    for (const Fp2* t : {&s->c0, &s->c1, &s->c2})
+      for (const Fp* c : {&t->c0, &t->c1}) out.push_back(c->to_u256().to_hex());
+  return out;
+}
+
+TEST(Pairing, GeneratorPairingIsPinned) {
+  const std::vector<std::string> kPinned = {
+      "12c70e90e12b7874510cd1707e8856f71bf7f61d72631e268fca81000db9a1f5",
+      "084f330485b09e866bc2f2ea2b897394deaf3f12aa31f28cb0552990967d4704",
+      "0e841c2ac18a4003ac9326b9558380e0bc27fdd375e3605f96b819a358d34bde",
+      "2067586885c3318eeffa1938c754fe3c60224ee5ae15e66af6b5104c47c8c5d8",
+      "01676555de427abc409c4a394bc5426886302996919d4bf4bdd02236e14b3636",
+      "2b03614464f04dd772d86df88674c270ffc8747ea13e72da95e3594468f222c4",
+      "2c53748bcd21a7c038fb30ddc8ac3bf0af25d7859cfbc12c30c866276c565909",
+      "27ed208e7a0b55ae6e710bbfbd2fd922669c026360e37cc5b2ab862411536104",
+      "1ad9db1937fd72f4ac462173d31d3d6117411fa48dba8d499d762b47edb3b54a",
+      "279db296f9d479292532c7c493d8e0722b6efae42158387564889c79fc038ee3",
+      "0dc26f240656bbe2029bd441d77c221f0ba4c70c94b29b5f17f0f6d08745a069",
+      "108c19d15f9446f744d0f110405d3856d6cc3bda6c4d537663729f5257628417"};
+  const G1Affine g1 = G1Curve::generator_affine();
+  const G2Affine g2 = G2Curve::generator_affine();
+  const std::vector<PairingTerm> terms = {{g1, g2}};
+  const G2Prepared prepared(g2);
+  const std::vector<PreparedTerm> prepared_terms = {{g1, &prepared}};
+  EXPECT_EQ(coefficients_hex(pairing(g1, g2).value), kPinned);
+  EXPECT_EQ(coefficients_hex(pairing(g1, prepared).value), kPinned);
+  EXPECT_EQ(coefficients_hex(multi_pairing(terms).value), kPinned);
+  EXPECT_EQ(coefficients_hex(multi_pairing(prepared_terms).value), kPinned);
+  EXPECT_EQ(coefficients_hex(multi_pairing_reference(terms).value), kPinned);
+}
+
+TEST(Pairing, FinalExponentiationIsPinned) {
+  const std::vector<std::string> kPinned = {
+      "1019cb3943581bed3775540472e34d1ceab65aaaf287aa0f8e0358dc27e15e41",
+      "17877b6bf5d550ad12fca00e423456b27ad8c03aa1174038cbca6df3afcd8ded",
+      "2dc9a8d9a6c0fedce323937146cd2a2157276e448a9a052cacca793a3ebed374",
+      "0e9583b5b460208d6d4f0ab93c58f3c6d9569c023feaec421c2e134d7c9de201",
+      "23f2e1ae69f19a436cdc35887df343f2c304ca5a9b29965f453726ae35841829",
+      "0d59104054ab2ae99bd08364032e196160886edebd5fde811708aa538d28dc0a",
+      "14029271a20d8a84d162f685accaa3215aab74140d6186c55560f9da8b456919",
+      "1505746df7e6366e09e220341c1b30d7e2de68e8cdcb59e26ba210fcf2a46c27",
+      "275539acb404b1bbfa3f7fc2be136a1b6905d42d8561d5482b29701d60ab9fd9",
+      "18aca14a57b9f7c5ee4675532d4b7ed8c744a7a7faf61fa49cec0d0f92e3d4c2",
+      "225ffaf563271a70f177af2854d5ceb9bb7df58e30cc000efbcace26026464d1",
+      "0a1536d7671a1328f6f948a1391552e543cb7ed2ff7f1d0f07fc33c723789773"};
+  Rng rng("gt-pin-final-exp");
+  const Fp12 f{Fp6{Fp2::random(rng), Fp2::random(rng), Fp2::random(rng)},
+               Fp6{Fp2::random(rng), Fp2::random(rng), Fp2::random(rng)}};
+  EXPECT_EQ(coefficients_hex(final_exponentiation(f)), kPinned);
+  EXPECT_EQ(coefficients_hex(final_exponentiation_ladder(f)), kPinned);
+  EXPECT_EQ(coefficients_hex(final_exponentiation_generic(f)), kPinned);
+}
+
 TEST(Pairing, FinalExponentiationMapsToUnityKernel) {
   // Any Miller value raised to r after final exp is 1 (order divides r).
   Rng rng("pairing-fexp");

@@ -12,6 +12,10 @@ Two guard kinds:
   --metric NAME       current[NAME] must not exceed baseline[NAME] by more
                       than --tolerance (absolute ns/op; only meaningful when
                       baseline and current ran on comparable hardware).
+  --unit NAME         Reads every --metric in units of the record NAME, each
+                      side divided by its own run's NAME (e.g. field/mul, a
+                      chain of dependent field multiplies), so runner speed
+                      divides out of the --metric guards too.
   --min-ratio SLOW:FAST=X
                       Hard floor: current[SLOW]/current[FAST] must be >= X
                       regardless of the baseline (e.g. "batched Combine must
@@ -56,6 +60,8 @@ def main():
     ap.add_argument("--ratio", action="append", default=[],
                     metavar="SLOW:FAST")
     ap.add_argument("--metric", action="append", default=[], metavar="NAME")
+    ap.add_argument("--unit", metavar="NAME",
+                    help="read each --metric in units of this record")
     ap.add_argument("--min-ratio", action="append", default=[],
                     metavar="SLOW:FAST=X")
     ap.add_argument("--max-ratio", action="append", default=[],
@@ -86,14 +92,20 @@ def main():
         ok = ok and cur_speedup >= floor
 
     for name in args.metric:
-        c, b = get(cur, name, args.current), get(base, name, args.baseline)
-        if c is None or b is None:
+        vals = [get(cur, name, args.current), get(base, name, args.baseline)]
+        if args.unit:
+            vals += [get(cur, args.unit, args.current),
+                     get(base, args.unit, args.baseline)]
+        if None in vals:
             ok = False
             continue
+        c, b, unit = vals[0], vals[1], "ns"
+        if args.unit:
+            c, b, unit = c / vals[2], b / vals[3], args.unit
         ceil = b * (1.0 + args.tolerance)
         status = "ok" if c <= ceil else "FAIL"
-        print(f"{status}: {name}: current {c:.0f} ns vs baseline {b:.0f} ns"
-              f" (ceiling {ceil:.0f} ns)")
+        print(f"{status}: {name}: current {c:.0f} {unit} vs baseline {b:.0f}"
+              f" {unit} (ceiling {ceil:.0f} {unit})")
         ok = ok and c <= ceil
 
     for spec in args.min_ratio:

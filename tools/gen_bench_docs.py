@@ -31,8 +31,16 @@ EXPERIMENTS = {
            "G1/G2 scalar mult, and field-tower microbenchmarks."),
     "e5": ("Verification ladder",
            "bench/e5_verify.cpp — reference path vs on-the-fly prepared vs "
-           "cached verifier vs 64-signature RLC batch. The cached/batch "
-           "speedup ratios are CI-gated."),
+           "cached verifier vs 64-signature RLC batch. The cached speedup "
+           "ratio is CI-gated, and so is the batch cost in field/mul units "
+           "(a chain of dependent Fp multiplies timed in the batch's "
+           "rounds) from the records that carry field/mul."),
+    "e8": ("Substrate operations",
+           "bench/e8_substrate.cpp — google-benchmark rows for the BN254 "
+           "operations under every scheme: Fp, the tower's multiplies and "
+           "squarings (dependent chains, mul_by_34, cyclotomic squaring), "
+           "G1/G2 scalar multiplication, hashing to the curves, the pairing "
+           "and GT exponentiation. Recorded, not gated."),
     "e11": ("Combine and service batching",
             "bench/e11_service.cpp — combine with share verification at "
             "n=33, t=16 (per-partial vs stateless vs the cached serving "
