@@ -8,7 +8,9 @@
 //   3. cached           G2Prepared lines precomputed once per key
 //                       (RoVerifier) — only line evaluations remain
 //   4. batched          N signatures folded into ONE 4-pairing product via
-//                       128-bit random linear combination + Pippenger MSM
+//                       random linear combination (each coefficient two
+//                       64-bit GLV halves) + Pippenger MSM with GLV lanes
+//                       and affine buckets
 //
 // Emits BENCH_e5.json records (name, ns/op). field/mul, a chain of
 // dependent Fp multiplies timed in the batch's rounds, is the runner-speed

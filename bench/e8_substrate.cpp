@@ -1,7 +1,7 @@
 // E8 — substrate microbenchmarks: the BN254 operations underneath every
 // scheme-level number (field tower, curve arithmetic, hashing, pairing).
-// The tower rows time dependent chains (each result feeds the next call),
-// and every run is written to BENCH_e8.json.
+// The tower and inversion rows time dependent chains (each result feeds the
+// next call), and every run is written to BENCH_e8.json.
 #include "gbench_json.hpp"
 
 #include "common/rng.hpp"
@@ -9,6 +9,7 @@
 #include "field/tower.hpp"
 #include "pairing/pairing.hpp"
 #include "sss/shamir.hpp"
+#include "threshold/params.hpp"
 
 using namespace bnr;
 
@@ -25,9 +26,13 @@ void BM_FpMul(benchmark::State& st) {
     benchmark::DoNotOptimize(a = a * b);
   }
 }
+// The inversion rows feed each inverse plus a constant into the next call:
+// inverting one fixed input would let the branch predictor learn its
+// binary GCD.
 void BM_FpInverse(benchmark::State& st) {
   Fp a = Fp::random(rng());
-  for (auto _ : st) benchmark::DoNotOptimize(a.inverse());
+  const Fp b = Fp::random(rng());
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.inverse() + b);
 }
 void BM_FpSqrt(benchmark::State& st) {
   Fp a = Fp::random(rng()).squared();
@@ -88,6 +93,18 @@ void BM_G1TwoBaseMultiExp(benchmark::State& st) {
   Fr a1 = Fr::random(rng()), a2 = Fr::random(rng());
   for (auto _ : st) benchmark::DoNotOptimize(h1.mul(a1) + h2.mul(a2));
 }
+void BM_MsmRlc(benchmark::State& st) {
+  // A batch-verification fold's MSM: distinct hashed points, each under a
+  // drawn RLC coefficient.
+  std::vector<G1Affine> points;
+  std::vector<Fr> coeffs;
+  for (int64_t i = 0; i < st.range(0); ++i) {
+    points.push_back(hash_to_g1("e8-msm", to_bytes("p" + std::to_string(i))));
+    coeffs.push_back(threshold::random_rlc_coefficient(rng()));
+  }
+  for (auto _ : st)
+    benchmark::DoNotOptimize(msm<G1>(std::span<const G1Affine>(points), coeffs));
+}
 void BM_HashToG1(benchmark::State& st) {
   uint64_t ctr = 0;
   for (auto _ : st) {
@@ -114,7 +131,8 @@ void BM_GtExp(benchmark::State& st) {
 }
 void BM_FrInverse(benchmark::State& st) {
   Fr a = Fr::random(rng());
-  for (auto _ : st) benchmark::DoNotOptimize(a.inverse());
+  const Fr b = Fr::random(rng());
+  for (auto _ : st) benchmark::DoNotOptimize(a = a.inverse() + b);
 }
 void BM_LagrangeCoefficients(benchmark::State& st) {
   std::vector<uint32_t> indices;
@@ -138,6 +156,13 @@ BENCHMARK(BM_FrInverse);
 BENCHMARK(BM_G1ScalarMul)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_G2ScalarMul)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_G1TwoBaseMultiExp)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MsmRlc)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(6)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HashToG1)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HashToG2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Pairing)->Unit(benchmark::kMillisecond);

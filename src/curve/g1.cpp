@@ -53,6 +53,8 @@ U256 round_shift_320(const U256& k, const U256& g) {
 template void G1::batch_to_affine(std::span<const G1>, std::span<G1Affine>);
 template G1 detail::msm_straus<G1Curve>(std::span<const G1Affine>,
                                         std::span<const U256>);
+template G1 detail::msm_pippenger<G1Curve>(std::span<const G1Affine>,
+                                           std::span<const U256>);
 
 const Fp& G1Curve::glv_beta() {
   static const Fp beta = Fp::from_u256(

@@ -51,12 +51,14 @@ struct G1Curve {
 using G1Affine = AffinePoint<G1Curve>;
 using G1 = JacobianPoint<G1Curve>;
 
-// batch_to_affine and msm's small-MSM path are compiled once, in g1.cpp,
+// batch_to_affine and both of msm's paths are compiled once, in g1.cpp,
 // not in every caller.
 extern template void G1::batch_to_affine(std::span<const G1>,
                                          std::span<G1Affine>);
 extern template G1 detail::msm_straus<G1Curve>(std::span<const G1Affine>,
                                                std::span<const U256>);
+extern template G1 detail::msm_pippenger<G1Curve>(std::span<const G1Affine>,
+                                                  std::span<const U256>);
 
 /// Compressed: 1 tag byte (0 = infinity, 2|3 = y parity) + 32-byte x; the
 /// infinity's x bytes must be zero.

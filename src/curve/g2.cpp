@@ -13,6 +13,8 @@ Fp2 G2Curve::coeff_b() {
 template void G2::batch_to_affine(std::span<const G2>, std::span<G2Affine>);
 template G2 detail::msm_straus<G2Curve>(std::span<const G2Affine>,
                                         std::span<const U256>);
+template G2 detail::msm_pippenger<G2Curve>(std::span<const G2Affine>,
+                                           std::span<const U256>);
 
 G2Affine G2Curve::generator_affine() {
   // Standard BN254 G2 generator (EIP-197 encoding order: (x_c0, x_c1, y_c0, y_c1)).

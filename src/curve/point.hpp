@@ -459,19 +459,246 @@ JacobianPoint<Curve> msm_straus(std::span<const AffinePoint<Curve>> points,
   return acc;
 }
 
+/// msm_pippenger's window width c for `lanes` scalar lanes: the fastest c
+/// in a sweep over 16 to 4,096 lanes of 64 and of 128 bits on G1. At 128
+/// lanes of 64 bits (64 drawn coefficients) c = 5; c = 4 costs 8% more and
+/// c = 6 13%. A window costs about 6 multiplies per lane digit and 27 per
+/// bucket, so c grows with log2(lanes).
+inline size_t pippenger_window(size_t lanes) {
+  return lanes < 32     ? 3
+         : lanes < 64   ? 4
+         : lanes < 224  ? 5
+         : lanes < 1024 ? 6
+         : lanes < 1536 ? 7
+         : lanes < 4096 ? 8
+         : lanes < 8192 ? 9
+                        : 10;
+}
+
+/// Above this many lane digits msm_pippenger runs its windows in two
+/// groups, one tree each: the tree's scratch halves for about 5 more
+/// inversions. At a 64-point fold's 127 lanes of 64 bits (1,651 digits)
+/// that keeps the scratch near 51 KB (86 KB in one group), and the serving
+/// daemon's peak RSS flat: its workers each keep what they touched.
+inline constexpr size_t kPippengerGroupDigits = 1024;
+
+/// sum_i points[i] * ks[i] (ks[i] < r) by Pippenger's bucket method, msm's
+/// path from 8 points on. On a GlvCurve a scalar wider than 128 bits runs
+/// as two lanes, as in msm_straus: P with k1 and phi(P) = (beta x, y) with
+/// k2. Each lane's signed (Booth) digit d in window w puts its point, as P
+/// or -P (negation is free), in bin (w, |d|), so a c-bit window needs
+/// 2^(c-1) bins. Bins hold signed lane references, not point copies.
+/// Every bin is summed in affine coordinates by a pairwise tree: a tree
+/// level adds all pairs of all bins of all windows (of a group, see
+/// kPippengerGroupDigits) with ONE batched inversion (Montgomery's trick),
+/// so an addition costs about 6 multiplies where a mixed one costs 11. A
+/// pair that coincides is doubled (slope denominator 2y) and a pair that
+/// cancels is dropped, so no zero enters an inversion. Each window's
+/// buckets then fold by a running sum of mixed additions, and the windows
+/// by c doublings each. Variable time: public inputs only.
+template <class Curve>
+JacobianPoint<Curve> msm_pippenger(std::span<const AffinePoint<Curve>> points,
+                                   std::span<const U256> ks) {
+  using Point = JacobianPoint<Curve>;
+  using Affine = AffinePoint<Curve>;
+  using Field = typename Curve::Field;
+  constexpr bool kGlv = GlvCurve<Curve>;
+  const size_t n = points.size();
+  if (ks.size() != n || n >= (size_t(1) << 30))
+    throw std::invalid_argument("msm_pippenger: bad sizes");
+
+  // A lane is a scalar and a reference to its point: the point's index,
+  // then a bit for phi and a bit for the sign.
+  struct Lane {
+    U256 k;
+    uint32_t ref;
+  };
+  std::vector<Lane> lanes;
+  lanes.reserve(kGlv ? 2 * n : n);
+  std::vector<Field> phi_x(kGlv ? n : 0);  // beta * x, y unchanged
+  size_t max_bits = 0;
+  auto add_lane = [&](const U256& k, uint32_t ref) {
+    if (k.is_zero()) return;
+    lanes.push_back({k, ref});
+    max_bits = std::max(max_bits, k.bit_length());
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity || ks[i].is_zero()) continue;
+    const uint32_t ref = static_cast<uint32_t>(i) << 2;
+    if constexpr (kGlv) {
+      if (ks[i].bit_length() > 128) {
+        const GlvSplit s = Curve::glv_split(ks[i]);
+        phi_x[i] = points[i].x * Curve::glv_beta();
+        add_lane(s.k1, ref | uint32_t(s.k1_neg));
+        add_lane(s.k2, ref | 2 | uint32_t(s.k2_neg));
+        continue;
+      }
+    }
+    add_lane(ks[i], ref);
+  }
+  if (lanes.empty()) return Point();
+
+  const size_t c = pippenger_window(lanes.size());
+  const size_t half = size_t(1) << (c - 1);
+  // The top window's digit absorbs the carry out of the one below it.
+  const size_t windows = max_bits / c + 1;
+  std::vector<int16_t> digit(lanes.size() * windows);
+  for (size_t l = 0; l < lanes.size(); ++l)
+    for (size_t w = 0; w < windows; ++w)
+      digit[l * windows + w] =
+          static_cast<int16_t>(booth_digit(lanes[l].k, w, c));
+  // The windows run from the top, in two groups past the digit budget.
+  const size_t groups = windows * lanes.size() > kPippengerGroupDigits ? 2 : 1;
+  const size_t per_group = (windows + groups - 1) / groups;
+
+  struct XY {
+    Field x, y;
+  };
+  std::vector<uint32_t> count, start, base, refs;
+  std::vector<XY> pts;
+  std::vector<Field> inv;  // a tree level's slope inverses, above the leaves
+  Point result;
+  for (size_t hi = windows; hi > 0;) {
+    const size_t lo = hi > per_group ? hi - per_group : 0;
+    const size_t bins = (hi - lo) * half;
+    // Counting sort of the group's nonzero digits: window w's digit d goes
+    // to bin (w - lo) * half + |d| - 1.
+    auto for_each_digit = [&](auto&& visit) {
+      for (size_t l = 0; l < lanes.size(); ++l)
+        for (size_t w = lo; w < hi; ++w)
+          if (const int d = digit[l * windows + w]; d != 0)
+            visit((w - lo) * half + size_t(d > 0 ? d : -d) - 1,
+                  lanes[l].ref ^ uint32_t(d < 0));
+    };
+    count.assign(bins, 0);
+    for_each_digit([&](size_t b, uint32_t) { ++count[b]; });
+    start.assign(bins + 1, 0);
+    for (size_t b = 0; b < bins; ++b) start[b + 1] = start[b] + count[b];
+    refs.resize(start[bins]);
+    base.assign(start.begin(), start.end() - 1);  // fill cursors
+    for_each_digit([&](size_t b, uint32_t ref) { refs[base[b]++] = ref; });
+
+    // Each tree level leaves bin b's count[b] points at pts[base[b]...].
+    size_t slots = 0;
+    for (size_t b = 0; b < bins; ++b) {
+      base[b] = static_cast<uint32_t>(slots);
+      slots += (count[b] + 1) / 2;
+    }
+    pts.resize(slots);
+    bool leaves = true;  // the level's inputs are refs, not pts
+    auto x_of = [&](size_t b, size_t i) -> const Field& {
+      if (!leaves) return pts[base[b] + i].x;
+      const uint32_t ref = refs[start[b] + i];
+      return (ref & 2) != 0 ? phi_x[ref >> 2] : points[ref >> 2].x;
+    };
+    auto y_of = [&](size_t b, size_t i) -> Field {
+      if (!leaves) return pts[base[b] + i].y;
+      const uint32_t ref = refs[start[b] + i];
+      return (ref & 1) != 0 ? -points[ref >> 2].y : points[ref >> 2].y;
+    };
+    // The denominator of the slope of pair j of bin b: x_v - x_u, or 2 y_u
+    // when v = u; zero when v = -u, where the pair cancels.
+    auto slope_den = [&](size_t b, size_t j) {
+      const Field& xu = x_of(b, 2 * j);
+      const Field& xv = x_of(b, 2 * j + 1);
+      if (xu != xv) return xv - xu;
+      const Field yu = y_of(b, 2 * j);
+      return yu == y_of(b, 2 * j + 1) ? yu.doubled() : Field::zero();
+    };
+    for (;;) {
+      size_t pairs = 0;
+      for (size_t b = 0; b < bins; ++b) pairs += count[b] / 2;
+      if (pairs == 0 && !leaves) break;
+      if (!leaves) inv.resize(pairs);
+      // Pair j of bin b, the level's p-th, keeps its inverse here. At the
+      // leaves that is the x of the pair's own output slot, which no
+      // output is written to before the pair's own.
+      auto inverse_of = [&](size_t b, size_t j, size_t p) -> Field& {
+        return leaves ? pts[base[b] + j].x : inv[p];
+      };
+      // Montgomery's trick: prefix products forward, one inversion, and
+      // each inverse unwound backward.
+      Field acc = Field::one();
+      bool any = false;
+      for (size_t b = 0, p = 0; b < bins; ++b)
+        for (size_t j = 0; j < count[b] / 2; ++j, ++p) {
+          const Field d = slope_den(b, j);
+          if (d.is_zero()) continue;
+          inverse_of(b, j, p) = acc;
+          acc = acc * d;
+          any = true;
+        }
+      if (any) {
+        Field acc_inv = acc.inverse();
+        for (size_t b = bins, p = pairs; b-- > 0;)
+          for (size_t j = count[b] / 2; j-- > 0;) {
+            --p;
+            const Field d = slope_den(b, j);
+            if (d.is_zero()) continue;
+            Field& slot = inverse_of(b, j, p);
+            slot = slot * acc_inv;
+            acc_inv = acc_inv * d;
+          }
+      }
+      for (size_t b = 0, p = 0; b < bins; ++b) {
+        size_t out = 0;
+        for (size_t j = 0; j < count[b] / 2; ++j, ++p) {
+          const Field xu = x_of(b, 2 * j), xv = x_of(b, 2 * j + 1);
+          const Field yu = y_of(b, 2 * j), yv = y_of(b, 2 * j + 1);
+          Field num;
+          if (xu != xv) {
+            num = yv - yu;
+          } else if (yu == yv) {
+            const Field xx = xu.squared();
+            num = xx + xx + xx;
+          } else {
+            continue;  // v = -u
+          }
+          const Field lambda = num * inverse_of(b, j, p);
+          XY& o = pts[base[b] + out++];
+          o.x = lambda.squared() - xu - xv;
+          o.y = lambda * (xu - o.x) - yu;
+        }
+        if (count[b] % 2 != 0) {
+          const size_t last = count[b] - 1;
+          const XY carry{x_of(b, last), y_of(b, last)};
+          pts[base[b] + out++] = carry;
+        }
+        count[b] = static_cast<uint32_t>(out);
+      }
+      leaves = false;
+    }
+
+    // sum_d d * bucket[w][d] by the running-sum trick, then Horner over w.
+    Affine bucket;
+    bucket.infinity = false;
+    for (size_t w = hi; w-- > lo;) {
+      for (size_t s = 0; s < c; ++s) result = result.dbl();
+      Point running, sum;
+      for (size_t b = (w - lo + 1) * half; b-- > (w - lo) * half;) {
+        if (count[b] != 0) {
+          bucket.x = pts[base[b]].x;
+          bucket.y = pts[base[b]].y;
+          running = running + bucket;
+        }
+        sum = sum + running;
+      }
+      result = result + sum;
+    }
+    hi = lo;
+  }
+  return result;
+}
+
 }  // namespace detail
 
 /// Multi-scalar multiplication sum_i points[i] * scalars[i] over affine
 /// points. Up to 7 points run detail::msm_straus, or one ladder per point
-/// when the scalars are all below 32 bits.
-/// From 8 points on it is Pippenger's bucket method with signed (Booth)
-/// window digits: a point whose digit is d lands in bucket |d| as P or -P
-/// (negation is free), so a c-bit window needs 2^(c-1) buckets, half an
-/// unsigned window's; the buckets fill with mixed additions and fold with a
-/// running sum, for O(bits/c * (n + 2^c)) additions instead of O(n * bits)
-/// doublings. Windows above the largest scalar are skipped, so 128-bit
-/// batch-RLC coefficients cost about half of full-width ones. Variable
-/// time: public inputs only.
+/// when the scalars are all below 32 bits; from 8 points on,
+/// detail::msm_pippenger. On G1 both split every scalar wider than 128
+/// bits into two GLV lanes, so a batch-RLC coefficient (two 64-bit halves,
+/// threshold/params.hpp) costs two 64-bit lanes, and windows above the
+/// widest lane are skipped. Variable time: public inputs only.
 template <class Point>
 Point msm(std::span<const typename Point::Affine> points,
           std::span<const Fr> scalars) {
@@ -498,37 +725,8 @@ Point msm(std::span<const typename Point::Affine> points,
   }
 
   std::vector<U256> ks(n);
-  size_t max_bits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ks[i] = scalars[i].to_u256();
-    max_bits = std::max(max_bits, ks[i].bit_length());
-  }
-  if (max_bits == 0) return result;
-
-  // Half the buckets buy one more bit per window than unsigned digits.
-  const size_t c = n < 32 ? 4 : n < 128 ? 5 : n < 512 ? 7 : n < 4096 ? 9 : 12;
-  // The top window's digit absorbs the carry out of the one below it.
-  const size_t windows = max_bits / c + 1;
-  std::vector<Point> buckets(size_t(1) << (c - 1));
-  for (size_t w = windows; w-- > 0;) {
-    for (size_t s = 0; s < c; ++s) result = result.dbl();
-    std::fill(buckets.begin(), buckets.end(), Point::identity());
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t d = detail::booth_digit(ks[i], w, c);
-      if (d > 0)
-        buckets[size_t(d - 1)] = buckets[size_t(d - 1)] + points[i];
-      else if (d < 0)
-        buckets[size_t(-d - 1)] = buckets[size_t(-d - 1)] + (-points[i]);
-    }
-    // sum_d d * bucket[d] via the running-sum trick.
-    Point running, sum;
-    for (size_t b = buckets.size(); b-- > 0;) {
-      running = running + buckets[b];
-      sum = sum + running;
-    }
-    result = result + sum;
-  }
-  return result;
+  for (size_t i = 0; i < n; ++i) ks[i] = scalars[i].to_u256();
+  return detail::msm_pippenger(points, std::span<const U256>(ks));
 }
 
 /// `msm` over Jacobian points: one batched inversion normalizes them first.

@@ -94,11 +94,8 @@ struct Fp2 {
   static Fp2 reduce(const Fp2Wide& t) {
     return {Fp::redc(t.c0), Fp::redc(t.c1)};
   }
-  Fp2 squared() const {
-    // (a+bu)^2 = (a+b)(a-b) + 2ab u
-    Fp t = c0 * c1;
-    return {(c0 + c1) * (c0 - c1), t + t};
-  }
+  /// 2 double-width products and 2 reductions.
+  Fp2 squared() const { return reduce(squared_wide()); }
   Fp2 mul_fp(const Fp& s) const { return {c0 * s, c1 * s}; }
   Fp2 doubled() const { return {c0 + c0, c1 + c1}; }
   Fp2 conjugate() const { return {c0, -c1}; }

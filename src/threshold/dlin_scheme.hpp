@@ -145,7 +145,7 @@ class DlinShareVerifier {
 
 /// Cached verifier for the DLIN variant: the scheme's hash plus the key at
 /// index 0. In a fold, each signature adds BOTH verification equations,
-/// each with its own 128-bit coefficient.
+/// each with its own random_rlc_coefficient draw.
 class DlinVerifier {
  public:
   DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk);

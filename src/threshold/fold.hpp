@@ -15,11 +15,12 @@
 //  * One pinned coefficient per product. The builder draws every
 //    coefficient itself from the Rng it was given (the serving layer forks
 //    it after the flush froze): the first equation of the first member gets
-//    1, every other equation a fresh nonzero 128-bit draw. Two pinned
-//    coefficients in one product would let errors cancel across keys:
-//    z_A + X under key A and z_B - X under key B sum to the honest points on
-//    the shared g^_z table. A product holding an invalid member passes with
-//    probability at most ~1/2^128.
+//    1, every other equation a fresh draw of random_rlc_coefficient: two
+//    uniform 64-bit GLV halves, 2^128 - 1 distinct nonzero residues. Two
+//    pinned coefficients in one product would let errors cancel across
+//    keys: z_A + X under key A and z_B - X under key B sum to the honest
+//    points on the shared g^_z table. A product holding an invalid member
+//    passes with probability at most 1/(2^128 - 1).
 //  * Exact verdicts. verdicts() rejects a member only after a check over
 //    that member alone, its equations evaluated one by one with coefficient
 //    1 (what the verifier's verify() computes). A product of valid members

@@ -6,8 +6,9 @@ namespace bnr::threshold {
 
 Fr random_rlc_coefficient(Rng& rng) {
   for (;;) {
-    U256 v{{rng.next_u64(), rng.next_u64(), 0, 0}};
-    if (!v.is_zero()) return Fr::from_u256(v);
+    const uint64_t k1 = rng.next_u64(), k2 = rng.next_u64();
+    if ((k1 | k2) != 0)
+      return Fr::from_u64(k1) + Fr::from_u64(k2) * G1Curve::glv_lambda();
   }
 }
 

@@ -43,10 +43,15 @@ struct SystemParams {
   }
 };
 
-/// Draws a uniform nonzero 128-bit scalar: the batch-verification RLC
-/// coefficient size. Folding N signatures with such coefficients lets an
-/// invalid batch pass with probability at most ~N/2^128, while keeping the
-/// MSM windows half as deep as full-width scalars would.
+/// Draws a batch-verification RLC coefficient as two GLV halves:
+/// k1 + k2 * lambda (mod r), with k1 and k2 uniform 64-bit values, not both
+/// zero, and lambda = G1Curve::glv_lambda(). No nonzero (a, b) with
+/// |a|, |b| < 2^64 has a + b * lambda = 0 (mod r): its coordinates in the
+/// reduced GLV basis would be below (2^64 - 1) * 2^127 / r < 1 in
+/// magnitude. So the draw is uniform over 2^128 - 1 distinct nonzero
+/// residues, and a product holding an invalid member passes with
+/// probability at most 1/(2^128 - 1). glv_split gives back exactly
+/// (k1, k2), so msm runs a coefficient as two 64-bit lanes.
 Fr random_rlc_coefficient(Rng& rng);
 
 }  // namespace bnr::threshold

@@ -183,8 +183,9 @@ class RoVerifier {
                    const Signature& sig) const;
 
   /// Folds many (message, signature) pairs into ONE product of four
-  /// pairings with 128-bit random coefficients: a batch containing any
-  /// invalid signature passes with probability at most ~N/2^128.
+  /// pairings with random_rlc_coefficient draws (two 64-bit GLV halves
+  /// each): a batch containing any invalid signature passes with
+  /// probability at most 1/(2^128 - 1).
   bool batch_verify(std::span<const Bytes> msgs,
                     std::span<const Signature> sigs, Rng& rng) const;
 

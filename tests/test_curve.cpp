@@ -261,6 +261,25 @@ TEST(Glv, SplitHalvesAreShortAndRecombine) {
   }
 }
 
+// The batch-RLC draw is k1 + k2 * lambda for two 64-bit words of its Rng;
+// glv_split gives back exactly those words, so msm runs 64-bit lanes.
+TEST(Glv, SplitsRlcDrawIntoItsHalves) {
+  Rng draws("glv-rlc-draw"), words("glv-rlc-draw");
+  const Fr& lambda = G1Curve::glv_lambda();
+  for (int i = 0; i < 20000; ++i) {
+    const Fr k = threshold::random_rlc_coefficient(draws);
+    const uint64_t k1 = words.next_u64(), k2 = words.next_u64();
+    const GlvSplit s = G1Curve::glv_split(k.to_u256());
+    ASSERT_FALSE(s.k1_neg) << i;
+    ASSERT_FALSE(s.k2_neg) << i;
+    ASSERT_LE(s.k1.bit_length(), 64u) << i;
+    ASSERT_LE(s.k2.bit_length(), 64u) << i;
+    ASSERT_EQ(s.k1, U256::from_u64(k1)) << i;
+    ASSERT_EQ(s.k2, U256::from_u64(k2)) << i;
+    ASSERT_EQ(Fr::from_u256(s.k1) + Fr::from_u256(s.k2) * lambda, k) << i;
+  }
+}
+
 // The properties glv_split relies on, recomputed with BigUint from the
 // transcribed constants.
 TEST(Glv, BasisIsReducedAndRoundingConstantsExact) {
@@ -284,6 +303,12 @@ TEST(Glv, BasisIsReducedAndRoundingConstantsExact) {
   const BigUint half_range = BigUint(1) << 128;
   EXPECT_LT(a1 + a2, half_range);
   EXPECT_LT(b1_abs + b2, half_range);
+  // The RLC draw is injective (threshold/params.hpp): a lattice vector
+  // (a, b) with |a|, |b| <= 2^64 - 1 has coordinates (a * b2 - b * a2) / r
+  // and (b * a1 - a * b1) / r, integers below 1 in magnitude, so it is 0.
+  const BigUint max64 = (BigUint(1) << 64) - BigUint(1);
+  EXPECT_LT(max64 * (a2 + b2), r);
+  EXPECT_LT(max64 * (a1 + b1_abs), r);
   // g = round(|b| * 2^320 / r).
   auto rounding = [&](const BigUint& b) {
     return (((b << 320) + (r >> 1)) / r).to_u256();

@@ -158,6 +158,35 @@ void msm_edge_inputs(size_t n, Rng& rng,
   scalars.resize(n);
 }
 
+/// Batch-RLC MSM inputs of size n >= 8 for the affine bucket tree: distinct
+/// points under drawn coefficients, except A, B, -A, -B under one
+/// coefficient (their sums A + B and -(A + B) cancel a tree level up), P
+/// twice under one (a coinciding pair) and Q beside -Q under one (a pair
+/// that cancels at the leaves), in that order, so they sit in that order in
+/// every bin they reach. Entry 8, if any, has the fold's pinned
+/// coefficient 1.
+template <class Point>
+void msm_rlc_inputs(size_t n, Rng& rng,
+                    std::vector<typename Point::Affine>& points,
+                    std::vector<Fr>& scalars) {
+  std::vector<Point> jac;
+  Point p = Point::generator().mul(Fr::random(rng));
+  const Point step = Point::generator().mul(Fr::random(rng));
+  for (size_t i = 0; i < n; ++i, p = p + step) jac.push_back(p);
+  jac[2] = -jac[0];
+  jac[3] = -jac[1];
+  jac[5] = jac[4];
+  jac[7] = -jac[6];
+  points = Point::batch_to_affine(jac);
+  scalars.clear();
+  for (size_t i = 0; i < n; ++i)
+    scalars.push_back(threshold::random_rlc_coefficient(rng));
+  scalars[1] = scalars[2] = scalars[3] = scalars[0];
+  scalars[5] = scalars[4];
+  scalars[7] = scalars[6];
+  if (n > 8) scalars[8] = Fr::one();
+}
+
 /// msm on affine and on Jacobian inputs against the naive oracle.
 template <class Point>
 void expect_msm_matches_naive(std::span<const typename Point::Affine> points,
@@ -186,6 +215,20 @@ TEST(Msm, PippengerMatchesNaive) {
     }
     expect_msm_matches_naive<G1>(points, scalars);
   }
+  // Drawn coefficients; then every lane in one bin, (0, 1): all scalars 1
+  // (one lane per point) or 1 + lambda (GLV halves 1 and 1), so one bin's
+  // tree takes every point, the pairs that coincide or cancel among them.
+  const Fr one_plus_lambda = Fr::one() + G1Curve::glv_lambda();
+  for (size_t n : {8u, 9u, 16u, 17u, 40u, 63u, 64u, 65u, 128u, 161u, 300u}) {
+    std::vector<G1Affine> points;
+    std::vector<Fr> scalars;
+    msm_rlc_inputs<G1>(n, rng, points, scalars);
+    expect_msm_matches_naive<G1>(points, scalars);
+    for (const Fr& k : {Fr::one(), one_plus_lambda}) {
+      std::fill(scalars.begin(), scalars.end(), k);
+      expect_msm_matches_naive<G1>(points, scalars);
+    }
+  }
 }
 
 TEST(Msm, HandlesEdgeScalarsAndG2) {
@@ -194,6 +237,12 @@ TEST(Msm, HandlesEdgeScalarsAndG2) {
   std::vector<Fr> scalars;
   for (size_t n : {7u, 8u, 17u, 31u, 32u, 127u, 128u, 512u}) {
     msm_edge_inputs<G2>(n, rng, points, scalars);
+    expect_msm_matches_naive<G2>(points, scalars);
+  }
+  for (size_t n : {8u, 17u, 64u, 300u}) {
+    msm_rlc_inputs<G2>(n, rng, points, scalars);
+    expect_msm_matches_naive<G2>(points, scalars);
+    std::fill(scalars.begin(), scalars.end(), Fr::one());  // one bin
     expect_msm_matches_naive<G2>(points, scalars);
   }
   // All-zero scalars sum to the identity.

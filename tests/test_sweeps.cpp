@@ -403,7 +403,8 @@ TEST_F(DlinDifferentialSweep, CachedCombineAgreesWithStatelessCombine) {
 
 /// One msm-against-msm_naive trial: half the sizes from 1..8 (the Straus
 /// path, with its GLV lanes on G1), half from 1..160, straddling the
-/// Pippenger window thresholds; scalar mixes with zeros and small values.
+/// Pippenger window thresholds; scalar mixes with zeros and small values,
+/// and half of them drawn batch-RLC coefficients.
 template <class P>
 void msm_trial(Rng& r, int trial) {
   SCOPED_TRACE(trial);
@@ -417,8 +418,10 @@ void msm_trial(Rng& r, int trial) {
       scalars.push_back(Fr::zero());
     else if (kind == 1)
       scalars.push_back(Fr::from_u64(r.uniform(1000)));
-    else
+    else if (kind < 4)
       scalars.push_back(Fr::random(r));
+    else
+      scalars.push_back(threshold::random_rlc_coefficient(r));
   }
   P oracle = msm_naive<P>(points, scalars);
   EXPECT_EQ(msm<P>(points, scalars), oracle);

@@ -39,8 +39,11 @@ EXPERIMENTS = {
            "bench/e8_substrate.cpp — google-benchmark rows for the BN254 "
            "operations under every scheme: Fp, the tower's multiplies and "
            "squarings (dependent chains, mul_by_34, cyclotomic squaring), "
-           "G1/G2 scalar multiplication, hashing to the curves, the pairing "
-           "and GT exponentiation. Recorded, not gated."),
+           "Fp and Fr inversion (chains of fresh inputs since the pr27 "
+           "record), G1/G2 scalar multiplication, a batch-verification "
+           "fold's MSM at 1-64 points (BM_MsmRlc: hashed points under drawn "
+           "RLC coefficients, from the pr27 record), hashing to the curves, "
+           "the pairing and GT exponentiation. Recorded, not gated."),
     "e11": ("Combine and service batching",
             "bench/e11_service.cpp — combine with share verification at "
             "n=33, t=16 (per-partial vs stateless vs the cached serving "
